@@ -11,6 +11,7 @@ pencils, degenerate-member factorization and base loci.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -283,15 +284,8 @@ def field_sqrt(x: QuadExt) -> QuadExt:
 
 def _rational_sqrt(q: Fraction):
     """Rational square root of q, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    num_s, num_m = _squarefree_decomposition(q.numerator)
-    den_s, den_m = _squarefree_decomposition(q.denominator)
-    if num_m == 1 and den_m == 1:
-        return Fraction(num_s, den_s)
-    return None
+    root = field_sqrt(QuadExt(q))
+    return root.a if root.is_rational() else None
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +332,27 @@ def add_vec(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def det3(A: Matrix) -> QuadExt:
+def cross(u: Vec, v: Vec) -> Vec:
+    """Cross product; as lines, the point they share, and vice versa."""
     return (
-        A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
-        - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
-        + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
+
+
+def det3(A: Matrix) -> QuadExt:
+    x, y, z = cross(A[1], A[2])
+    return A[0][0] * x + A[0][1] * y + A[0][2] * z
 
 
 def mat_inverse3(A: Matrix) -> Matrix:
     d = det3(A)
     if d.is_zero():
         raise ValueError("matrix is singular")
-    cof = [
-        [
-            A[(i + 1) % 3][(j + 1) % 3] * A[(i + 2) % 3][(j + 2) % 3]
-            - A[(i + 1) % 3][(j + 2) % 3] * A[(i + 2) % 3][(j + 1) % 3]
-            for i in range(3)
-        ]
-        for j in range(3)
-    ]
-    return tuple(tuple(c / d for c in row) for row in cof)
+    # Column i of the adjugate is orthogonal to every row of A but row i.
+    cols = [cross(A[(i + 1) % 3], A[(i + 2) % 3]) for i in range(3)]
+    return tuple(tuple(c / d for c in row) for row in zip(*cols))
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -418,10 +412,6 @@ def span_equal(rows_a: Sequence[Vec], rows_b: Sequence[Vec]) -> bool:
     ra, _ = rref(rows_a)
     rb, _ = rref(rows_b)
     return ra == rb
-
-
-def in_span(rows: Sequence[Vec], v: Vec) -> bool:
-    return rank(list(rows)) == rank(list(rows) + [v])
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +505,21 @@ class Conic:
         return f"Conic({conic_to_string(self)})"
 
 
+def _product_column(u: Vec, v: Vec) -> Vec:
+    """Coefficients of the product of two linear forms in the monomial basis."""
+    return (
+        u[0] * v[0],
+        u[1] * v[1],
+        u[2] * v[2],
+        u[1] * v[2] + u[2] * v[1],
+        u[0] * v[2] + u[2] * v[0],
+        u[0] * v[1] + u[1] * v[0],
+    )
+
+
 def conic_from_lines(l1: Vec, l2: Vec) -> Conic:
     """The degenerate conic l1 * l2 expanded into monomial coefficients."""
-    (a1, b1, c1), (a2, b2, c2) = l1, l2
-    return Conic(
-        (
-            a1 * a2,
-            b1 * b2,
-            c1 * c2,
-            b1 * c2 + c1 * b2,
-            a1 * c2 + c1 * a2,
-            a1 * b2 + b1 * a2,
-        )
-    )
+    return Conic(_product_column(l1, l2))
 
 
 def _coeff_str(c: QuadExt) -> str:
@@ -537,9 +529,10 @@ def _coeff_str(c: QuadExt) -> str:
     return text
 
 
-def conic_to_string(conic: Conic) -> str:
+def _form_to_string(coeffs: Vec, names: Sequence[str]) -> str:
+    """A nonzero form as signed terms "c*name", unit coefficients elided."""
     parts = []
-    for c, name in zip(conic.coeffs, MONOMIALS):
+    for c, name in zip(coeffs, names):
         if c.is_zero():
             continue
         if c == ONE:
@@ -553,24 +546,14 @@ def conic_to_string(conic: Conic) -> str:
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
     return out
+
+
+def conic_to_string(conic: Conic) -> str:
+    return _form_to_string(conic.coeffs, MONOMIALS)
 
 
 def line_to_string(line: Vec) -> str:
-    parts = []
-    for c, name in zip(line, ("X", "Y", "Z")):
-        if c.is_zero():
-            continue
-        if c == ONE:
-            term = name
-        elif c == QuadExt(-1):
-            term = f"-{name}"
-        else:
-            term = f"{_coeff_str(c)}*{name}"
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _form_to_string(line, ("X", "Y", "Z"))
 
 
 # -- conic literal parser ----------------------------------------------------
@@ -620,17 +603,7 @@ class _Poly:
             )
         if other.degree() == 0:
             return other.multiply(self)
-        # two linear factors
-        (a1, b1, c1), (a2, b2, c2) = self.lin, other.lin
-        quad = (
-            a1 * a2,
-            b1 * b2,
-            c1 * c2,
-            b1 * c2 + c1 * b2,
-            a1 * c2 + c1 * a2,
-            a1 * b2 + b1 * a2,
-        )
-        return _Poly(ZERO, None, quad)
+        return _Poly(ZERO, None, _product_column(self.lin, other.lin))
 
 
 def parse_conic(text: str, params: Mapping[str, Fraction] | None = None) -> Conic:
@@ -736,18 +709,6 @@ def parse_conic(text: str, params: Mapping[str, Fraction] | None = None) -> Coni
 # ---------------------------------------------------------------------------
 
 
-def _product_column(u: Vec, v: Vec) -> Vec:
-    """Coefficients of the product of two linear forms in the monomial basis."""
-    return (
-        u[0] * v[0],
-        u[1] * v[1],
-        u[2] * v[2],
-        u[1] * v[2] + u[2] * v[1],
-        u[0] * v[2] + u[2] * v[0],
-        u[0] * v[1] + u[1] * v[0],
-    )
-
-
 def sym2(M: Matrix) -> Matrix:
     """The induced 6x6 matrix on the monomial basis (x^2, y^2, z^2, yz, xz, xy).
 
@@ -787,48 +748,25 @@ def pencil_invariant(rep: Mapping[Permutation, Matrix], f: Conic, g: Conic) -> b
         raise ValueError("f and g do not span a pencil")
     for M in rep.values():
         S = sym2(transpose(mat_inverse3(M)))
-        for v in span:
-            if not in_span(span, mat_vec(S, v)):
-                return False
+        if rank(span + [mat_vec(S, v) for v in span]) != 2:
+            return False
     return True
 
 
 def _det_cubic(f: Conic, g: Conic):
-    """Coefficients [c0..c3] of det(A + x B) for the symmetric matrices of f, g."""
+    """Coefficients [c0..c3] of det(A + x B) for the symmetric matrices of f, g.
+
+    c0 = det A and c3 = det B; the values at x = 1 and x = -1 give
+    c0 + c2 and c1 + c3 as their half sum and half difference.
+    """
     A = f.sym_matrix()
     B = g.sym_matrix()
-
-    def entry(i, j):
-        return (A[i][j], B[i][j])  # linear polynomial a + b x
-
-    def poly_mul(p, q):
-        out = [ZERO] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            for j, qj in enumerate(q):
-                out[i + j] = out[i + j] + pi * qj
-        return out
-
-    def poly_add(p, q, sign=1):
-        n = max(len(p), len(q))
-        p = list(p) + [ZERO] * (n - len(p))
-        q = list(q) + [ZERO] * (n - len(q))
-        if sign == 1:
-            return [a + b for a, b in zip(p, q)]
-        return [a - b for a, b in zip(p, q)]
-
-    total = [ZERO]
-    for (i, j, k), sign in (
-        ((0, 1, 2), 1),
-        ((1, 2, 0), 1),
-        ((2, 0, 1), 1),
-        ((0, 2, 1), -1),
-        ((2, 1, 0), -1),
-        ((1, 0, 2), -1),
-    ):
-        term = poly_mul(poly_mul(list(entry(0, i)), list(entry(1, j))), list(entry(2, k)))
-        total = poly_add(total, term, sign)
-    total = total + [ZERO] * (4 - len(total))
-    return total[:4]
+    c0, c3 = det3(A), det3(B)
+    plus, minus = (
+        det3(tuple(add_vec(a, scale_vec(x, b)) for a, b in zip(A, B)))
+        for x in (ONE, -ONE)
+    )
+    return [c0, (plus - minus) / 2 - c3, (plus + minus) / 2 - c0, c3]
 
 
 def _rational_roots(coeffs) -> list:
@@ -910,9 +848,7 @@ def nodal_members(f: Conic, g: Conic) -> list:
     rational = [c.a for c in cubic]
     if all(c == 0 for c in rational):
         raise NotGeneral("common component")
-    denominator = 1
-    for c in rational:
-        denominator = denominator * c.denominator // _gcd(denominator, c.denominator)
+    denominator = math.lcm(*(c.denominator for c in rational))
     ints = [int(c * denominator) for c in rational]
     degree = max(i for i, c in enumerate(ints) if c != 0)
     roots, leftover = _rational_roots(ints)
@@ -930,12 +866,6 @@ def nodal_members(f: Conic, g: Conic) -> list:
     if degree < 3:
         members.append(((Fraction(0), Fraction(1)), Conic(g.coeffs)))
     return members
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 @dataclass(frozen=True)
@@ -973,50 +903,22 @@ def factor_degenerate(c: Conic):
                 break
         if basis:
             break
-    u, v = basis
-
-    def bilinear(w1, w2):
-        return sum(
-            (w1[i] * M[i][j] * w2[j] for i in range(3) for j in range(3)), ZERO
-        )
-
-    alpha = bilinear(u, u)
-    beta = 2 * bilinear(u, v)
-    gamma = bilinear(v, v)
-
-    def line_through(w1, w2):
-        return (
-            w1[1] * w2[2] - w1[2] * w2[1],
-            w1[2] * w2[0] - w1[0] * w2[2],
-            w1[0] * w2[1] - w1[1] * w2[0],
-        )
-
-    if alpha.is_zero() and gamma.is_zero():
-        points = (u, v)
-    elif alpha.is_zero():
-        # gamma t^2 + beta s t = t (beta s + gamma t)
-        points = (u, add_vec(scale_vec(-gamma, u), scale_vec(beta, v)))
-    else:
-        disc = beta * beta - 4 * alpha * gamma
-        droot = field_sqrt(disc)
-        r1 = (-beta + droot) / (2 * alpha)
-        r2 = (-beta - droot) / (2 * alpha)
-        points = (
-            add_vec(scale_vec(r1, u), v),
-            add_vec(scale_vec(r2, u), v),
-        )
-    l1 = line_through(points[0], p)
-    l2 = line_through(points[1], p)
+    q1, q2 = _split_on_line(M, *basis)
+    l1 = cross(q1, p)
+    l2 = cross(q2, p)
     if not conic_from_lines(l1, l2).is_proportional(c):
         raise ArithmeticError("rank-2 factorization failed")
     return (l1, l2)
 
 
-def _intersect_line_conic(line: Vec, conic: Conic) -> list:
-    """The two intersection points, possibly after one radical adjunction."""
-    basis = kernel_basis([line], 3)
-    u, v = basis
-    M = conic.sym_matrix()
+def _split_on_line(M: Matrix, u: Vec, v: Vec) -> tuple:
+    """The two zeros of the quadratic form M on the line through u and v.
+
+    Writes the restriction as alpha s^2 + beta s t + gamma t^2 at s*u + t*v
+    and splits it, adjoining at most one radical.  Raises NotGeneral when
+    the restriction vanishes ("common component") or has a double zero
+    ("repeated base point").
+    """
 
     def bilinear(w1, w2):
         return sum(
@@ -1028,21 +930,25 @@ def _intersect_line_conic(line: Vec, conic: Conic) -> list:
     gamma = bilinear(v, v)
     if alpha.is_zero() and beta.is_zero() and gamma.is_zero():
         raise NotGeneral("common component")
-    if alpha.is_zero() and beta.is_zero():
-        raise NotGeneral("repeated base point")
+    if alpha.is_zero() and gamma.is_zero():
+        return u, v
     if alpha.is_zero():
-        pts = (u, add_vec(scale_vec(-gamma, u), scale_vec(beta, v)))
-    else:
-        disc = beta * beta - 4 * alpha * gamma
-        if disc.is_zero():
+        if beta.is_zero():
             raise NotGeneral("repeated base point")
-        droot = field_sqrt(disc)
-        r1 = (-beta + droot) / (2 * alpha)
-        r2 = (-beta - droot) / (2 * alpha)
-        pts = (
-            add_vec(scale_vec(r1, u), v),
-            add_vec(scale_vec(r2, u), v),
-        )
+        # gamma t^2 + beta s t = t (beta s + gamma t)
+        return u, add_vec(scale_vec(-gamma, u), scale_vec(beta, v))
+    disc = beta * beta - 4 * alpha * gamma
+    if disc.is_zero():
+        raise NotGeneral("repeated base point")
+    droot = field_sqrt(disc)
+    r1 = (-beta + droot) / (2 * alpha)
+    r2 = (-beta - droot) / (2 * alpha)
+    return add_vec(scale_vec(r1, u), v), add_vec(scale_vec(r2, u), v)
+
+
+def _intersect_line_conic(line: Vec, conic: Conic) -> list:
+    """The two intersection points, possibly after one radical adjunction."""
+    pts = _split_on_line(conic.sym_matrix(), *kernel_basis([line], 3))
     return [ProjPoint(pts[0]), ProjPoint(pts[1])]
 
 
@@ -1253,9 +1159,8 @@ def d8_invariant_structure(a: int, b: int) -> dict:
         raise ArithmeticError("invariant subspace structure is not the expected one")
     plane = [basis_vec(3), basis_vec(4)]
     for S in (S_rot, S_ref):
-        for v in plane:
-            if not in_span(plane, mat_vec(S, v)):
-                raise ArithmeticError("span{yz, xz} is not invariant")
+        if rank(plane + [mat_vec(S, v) for v in plane]) != 2:
+            raise ArithmeticError("span{yz, xz} is not invariant")
     return {
         "lines": {"Z^2": z2, "X^2+Y^2": x2py2, "X^2-Y^2": x2my2, "XY": xy},
         "plane": tuple(plane),

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 from .permgroup import PermGroup, generate_group, parse_permutation
 
-__all__ = ["PRESETS", "PRESET_ORDER", "resolve_group", "preset_name_of"]
+__all__ = ["PRESETS", "PRESET_ORDER", "resolve_group"]
 
 
 PRESETS = {
@@ -61,9 +61,3 @@ def resolve_group(name: str) -> PermGroup:
     gens = [parse_permutation(text, 4) for text in PRESETS[key]]
     return generate_group(gens, 4)
 
-
-def preset_name_of(G: PermGroup) -> str | None:
-    for name in PRESET_ORDER:
-        if resolve_group(name) == G:
-            return name
-    return None

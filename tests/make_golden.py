@@ -1,0 +1,59 @@
+"""Regenerate the golden CLI transcripts in tests/data/cli_golden.json.
+
+Usage, from the repository root:
+
+    python3 tests/make_golden.py
+
+Each transcript is one argv run in process through ``nodalcount.cli.main``
+with its exit code and full stdout.  ``tests/test_golden.py`` replays them
+byte for byte, so rerun this only for a change that alters output on
+purpose, and review the diff of the data file.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "data" / "cli_golden.json"
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from nodalcount.cli import main  # noqa: E402
+from nodalcount.presets import PRESET_ORDER  # noqa: E402
+
+
+def golden_argvs() -> list:
+    """Every command the transcripts cover, in both output formats."""
+    commands = [["marks", "--group", name] for name in PRESET_ORDER]
+    commands += [["verify-all", "--group", name] for name in PRESET_ORDER]
+    commands.append(["counterexample", "klein"])
+    commands += [["counterexample", "d8", "--case", str(k)] for k in range(1, 10)]
+    commands.append(["theorem-sweep"])
+    return [["--format", fmt, *cmd] for fmt in ("text", "json") for cmd in commands]
+
+
+def capture(argv: list) -> tuple:
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def main_regenerate() -> int:
+    records = []
+    for argv in golden_argvs():
+        code, stdout = capture(argv)
+        records.append({"argv": argv, "exit": code, "stdout": stdout})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} transcripts to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_regenerate())

@@ -249,6 +249,30 @@ class TestSym2:
         assert mat_mul(M, mat_inverse3(M)) == identity_matrix(3)
 
 
+def conic_pairs(coefficient):
+    conic = st.lists(coefficient, min_size=6, max_size=6).filter(
+        lambda cs: any(not c.is_zero() for c in cs)
+    )
+    return st.tuples(conic.map(Conic), conic.map(Conic))
+
+
+class TestDetCubic:
+    @settings(max_examples=60, derandomize=True)
+    @given(st.one_of(conic_pairs(rationals.map(QuadExt)), conic_pairs(quads(-2))))
+    def test_interpolated_cubic_matches_determinant(self, pair):
+        from nodalcount.geometry import _det_cubic, det3
+
+        f, g = pair
+        cubic = _det_cubic(f, g)
+        A, B = f.sym_matrix(), g.sym_matrix()
+        for t in (Fraction(2), Fraction(-1, 3), Fraction(5, 7)):
+            pencil = tuple(
+                tuple(a + t * b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
+            )
+            value = sum((c * t**k for k, c in enumerate(cubic)), qe(0))
+            assert value == det3(pencil)
+
+
 # ---------------------------------------------------------------------------
 # degenerate members and factorization
 # ---------------------------------------------------------------------------

@@ -207,3 +207,16 @@ class TestOrbitStabilizer:
 
         with pytest.raises(InvalidActionError):
             orbit_and_stabilizer(G, broken, 1)
+
+    def test_defect_on_one_non_generator_is_caught(self):
+        G = resolve_group("S4")
+        bad = perm("(13)(24)")
+        assert bad not in minimal_generating_set(G)
+
+        def twisted(g, x):
+            # the natural action, except that one element swaps two images
+            y = g.images[x]
+            return {0: 1, 1: 0}.get(y, y) if g == bad else y
+
+        with pytest.raises(InvalidActionError):
+            orbit_and_stabilizer(G, twisted, 0)
