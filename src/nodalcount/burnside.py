@@ -49,27 +49,24 @@ class TableOfMarks:
 
 @lru_cache(maxsize=None)
 def table_of_marks(G: PermGroup) -> TableOfMarks:
-    """Brute-force table of marks: count cosets gH with K g H = g H.
+    """Table of marks by the conjugate count #{g in G : K <= gHg^-1} / |H|.
 
-    A coset gH is K-fixed iff g^-1 K g <= H; checking the generators of K
-    suffices.  The canonical class order (ascending subgroup order) makes
-    the matrix lower-triangular with positive diagonal |N_G(H)| / |H|.
+    A coset gH is K-fixed iff K <= gHg^-1, and that conjugate depends
+    only on the coset, so each fixed coset is counted |H| times.  Each
+    member of H's class is gHg^-1 for |N_G(H)| = |G| / |class| elements g.
+    The canonical class order (ascending subgroup order) makes the matrix
+    lower-triangular with positive diagonal |N_G(H)| / |H|.
     """
     classes = subgroup_classes(G)
     rows = []
     for hcls in classes:
-        H = hcls.representative
-        reps = [coset[0] for coset in G.left_cosets(H)]
-        row = []
-        for kcls in classes:
-            kgens = minimal_generating_set(kcls.representative)
-            count = 0
-            for r in reps:
-                rinv = r.inverse()
-                if all((rinv * k * r) in H for k in kgens):
-                    count += 1
-            row.append(count)
-        rows.append(tuple(row))
+        per_conjugate = G.order // len(hcls.members)
+        rows.append(tuple(
+            per_conjugate
+            * sum(kcls.representative.is_subgroup_of(C) for C in hcls.members)
+            // hcls.representative.order
+            for kcls in classes
+        ))
     return TableOfMarks(G, tuple(rows))
 
 

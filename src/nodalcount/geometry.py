@@ -770,7 +770,7 @@ def _det_cubic(f: Conic, g: Conic):
 
 
 def _rational_roots(coeffs) -> list:
-    """All rational roots (with multiplicity stripped) of an integer polynomial.
+    """Rational roots of an integer polynomial, by the rational root theorem.
 
     Returns (roots_with_multiplicity, leftover_degree): rational roots
     are divided out as often as they occur; leftover_degree > 0 means the
@@ -787,9 +787,10 @@ def _rational_roots(coeffs) -> list:
     while len(poly) > 1:
         lead = poly[-1]
         const = poly[0]
+        lead_divisors = _divisors(lead.numerator if isinstance(lead, Fraction) else lead)
         found = None
         for p in _divisors(const.numerator if isinstance(const, Fraction) else const):
-            for q in _divisors(lead.numerator if isinstance(lead, Fraction) else lead):
+            for q in lead_divisors:
                 for sign in (1, -1):
                     candidate = Fraction(sign * p, q)
                     if _poly_eval(poly, candidate) == 0:
@@ -808,10 +809,12 @@ def _rational_roots(coeffs) -> list:
 
 
 def _divisors(n: int):
+    """Positive divisors of n in ascending order, paired up to isqrt(|n|)."""
     n = abs(int(n))
     if n == 0:
         return [1]
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _poly_eval(poly, x: Fraction):
@@ -1024,27 +1027,25 @@ def induced_sigma(
 def _hom_from_generators(
     G: PermGroup, images: Mapping[Permutation, Matrix]
 ) -> dict:
-    """Extend generator images to the whole group, checking consistency."""
+    """Extend generator images to the whole group, checking every generator edge.
+
+    A breadth-first walk from the identity visits each edge (x, s): it
+    defines table[x*s] = table[x] * images[s] or checks that product
+    against the matrix already there.  A table consistent on every edge
+    is a homomorphism, because every element is a word in the generators.
+    """
     identity = G.identity_element()
     table = {identity: identity_matrix(3)}
-    for g, M in images.items():
-        table[g] = M
-    frontier = list(table)
-    while frontier:
-        fresh = []
-        for g in list(table):
-            for h in frontier:
-                gh = g * h
-                M = mat_mul(table[g], table[h])
-                if gh in table:
-                    if table[gh] != M:
-                        raise ValueError(
-                            "generator images do not extend to a homomorphism"
-                        )
-                else:
-                    table[gh] = M
-                    fresh.append(gh)
-        frontier = fresh
+    queue = [identity]
+    for x in queue:
+        for s, M in images.items():
+            xs = x * s
+            product = mat_mul(table[x], M)
+            if xs not in table:
+                table[xs] = product
+                queue.append(xs)
+            elif table[xs] != product:
+                raise ValueError("generator images do not extend to a homomorphism")
     if set(table) != set(G.elements):
         raise ValueError("generator images do not generate the group")
     return table
@@ -1209,19 +1210,13 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices."""
-    gens = [_perm4("(12)(34)"), _perm4("(13)(24)")]
-    G = generate_group(gens, 4)
-    matrices = {
-        _perm4("()"): identity_matrix(3),
-        _perm4("(12)(34)"): mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
-        _perm4("(13)(24)"): mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
-        _perm4("(14)(23)"): mat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]]),
-    }
-    for g in G.elements:
-        for h in G.elements:
-            if mat_mul(matrices[g], matrices[h]) != matrices[g * h]:
-                raise ArithmeticError("Klein matrices fail to close exactly")
-    return G, matrices
+    double_a, double_b = _perm4("(12)(34)"), _perm4("(13)(24)")
+    G = generate_group([double_a, double_b], 4)
+    rep = _hom_from_generators(G, {
+        double_a: mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
+        double_b: mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
+    })
+    return G, rep
 
 
 def klein_counterexample() -> PencilCase:

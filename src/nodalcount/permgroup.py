@@ -1,8 +1,10 @@
 """Finite permutation groups on a small number of points.
 
 Everything here is exact and exhaustive: a group is its full, sorted
-element list, subgroups are found by closing cyclic subgroups under
-pairwise joins, and conjugacy classes of subgroups receive a canonical
+element list, built by one breadth-first walk over generator edges
+(``_close``).  Cyclic subgroups are the walks from one element, every
+other subgroup is a walk from a cyclic subgroup's generators plus one
+more element, and conjugacy classes of subgroups receive a canonical
 order so that integer vectors indexed by them mean the same thing in
 every run.  Intended scale is degree <= 8 and order <= 48; nothing here
 is clever enough for more.
@@ -173,23 +175,23 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
-def _close(seed: Iterable[Permutation]) -> frozenset:
-    """Closure of a set of permutations under composition."""
-    elems = set(seed)
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for a in list(elems):
-            for b in frontier:
-                c = a * b
-                if c not in elems:
-                    elems.add(c)
-                    fresh.append(c)
-                c = b * a
-                if c not in elems:
-                    elems.add(c)
-                    fresh.append(c)
-        frontier = fresh
+def _close(gens: Sequence[Permutation], degree: int) -> frozenset:
+    """The group generated by gens, by a breadth-first walk over generator edges.
+
+    Starting at the identity, every element found is right-multiplied by
+    each generator until nothing new appears.  In a finite group every
+    element is a positive word in the generators, so this reaches the
+    whole group with |<gens>| * |gens| products.
+    """
+    identity = Permutation.identity(degree)
+    elems = {identity}
+    queue = [identity]
+    for x in queue:
+        for s in gens:
+            y = x * s
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
     return frozenset(elems)
 
 
@@ -294,20 +296,7 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> PermGroup:
             raise ValueError(
                 f"generator degree mismatch: {p!r} has degree {p.degree}, expected {degree}"
             )
-    elements = _close(set(gens) | {Permutation.identity(degree)})
-    return PermGroup(degree, elements, gens)
-
-
-def _cyclic_subgroups(G: PermGroup) -> list:
-    cyclics = set()
-    for p in G.elements:
-        powers = {p}
-        q = p
-        while not q.is_identity():
-            q = q * p
-            powers.add(q)
-        cyclics.add(frozenset(powers))
-    return sorted(cyclics, key=lambda fs: (len(fs), tuple(sorted(p.images for p in fs))))
+    return PermGroup(degree, _close(gens, degree), gens)
 
 
 @lru_cache(maxsize=None)
@@ -318,7 +307,7 @@ def minimal_generating_set(G: PermGroup) -> tuple:
     candidates = [p for p in G.elements if not p.is_identity()]
     for size in range(1, 4):
         for combo in combinations(candidates, size):
-            if len(_close(set(combo))) == G.order:
+            if len(_close(combo, G.degree)) == G.order:
                 return combo
     # Subgroups of S4 never get here; fall back to everything.
     return tuple(candidates)
@@ -328,31 +317,26 @@ def minimal_generating_set(G: PermGroup) -> tuple:
 def all_subgroups(G: PermGroup) -> tuple:
     """Every subgroup of G, canonically sorted by (order, element list).
 
-    Breadth-first closure over cyclic subgroups and joins with them;
-    every subgroup is a join of cyclic ones, so this finds them all.
+    Every subgroup is a join of cyclic ones.  Starting from the cyclic
+    subgroups <c>, each subgroup found keeps the generator tuple that
+    produced it, and its join with <c> is ``_close(gens + (c,))``; the
+    search runs breadth-first until no join is new.
     """
-    identity = Permutation.identity(G.degree)
-    cyclics = _cyclic_subgroups(G)
-    found = {frozenset((identity,))}
-    found.update(cyclics)
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for current in frontier:
-            for cyc in cyclics:
-                if cyc <= current:
-                    continue
-                joined = _close(current | cyc)
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    groups = []
-    for fs in found:
-        elems = tuple(sorted(fs))
-        grp = PermGroup(G.degree, elems)
-        grp = PermGroup(G.degree, elems, minimal_generating_set(grp))
-        groups.append(grp)
+    found = {}
+    for c in G.elements:
+        found.setdefault(_close((c,), G.degree), (c,))
+    cyclic_gens = [gens[0] for gens in found.values()]
+    queue = list(found)
+    for current in queue:
+        for c in cyclic_gens:
+            if c in current:
+                continue
+            gens = found[current] + (c,)
+            joined = _close(gens, G.degree)
+            if joined not in found:
+                found[joined] = gens
+                queue.append(joined)
+    groups = [PermGroup(G.degree, fs, gens) for fs, gens in found.items()]
     groups.sort(key=lambda H: (H.order, H.element_key()))
     return tuple(groups)
 

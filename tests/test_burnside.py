@@ -87,7 +87,7 @@ class TestTableOfMarks:
                 assert marks[cls.class_index][0] == G.order // cls.representative.order
 
     def test_against_literal_coset_counting(self):
-        for name in ["Z4", "V", "S3", "D8", "A4"]:
+        for name in ["Z4", "V", "S3", "D8", "A4", "S4"]:
             G = resolve_group(name)
             classes = subgroup_classes(G)
             marks = table_of_marks(G).marks

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from nodalcount.geometry import (
     NotGeneral,
     ProjPoint,
     QuadExt,
+    _hom_from_generators,
     analyze_pencil,
     apply_matrix,
     base_locus,
@@ -416,6 +418,21 @@ class TestRepresentations:
                     for h in G.elements:
                         assert mat_mul(rep[g], rep[h]) == rep[g * h]
 
+    def test_images_breaking_a_relation_are_rejected(self):
+        rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        # commutes with the rotation, so F R F = R, not R^-1
+        reflection = mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+        with pytest.raises(ValueError, match="do not extend"):
+            _hom_from_generators(
+                resolve_group("D8"),
+                {perm("(1234)"): rotation, perm("(13)"): reflection},
+            )
+
+    def test_images_of_too_few_generators_are_rejected(self):
+        rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="do not generate the group"):
+            _hom_from_generators(resolve_group("D8"), {perm("(1234)"): rotation})
+
     def test_d8_action_table_for_plus_plus(self):
         # with both signs +1 the action on [1:1:w], w = i*sqrt(2), reads:
         G, rep = d8_representation(1, 1)
@@ -592,6 +609,19 @@ class TestD8Pipeline:
         f, g = cases[7].f, cases[7].g
         for p in analysis.base:
             assert f(p).is_zero() and g(p).is_zero()
+
+    def test_case8_with_a_large_parameter(self):
+        # c = 10007 puts 10007^2 into the determinant cubic; a divisor scan
+        # up to n instead of isqrt(n) spends tens of seconds on it
+        start = time.perf_counter()
+        case = d8_case_suite(1, 1, Fraction(10007), Fraction(1))[7]
+        analysis = analyze_pencil(case)
+        assert time.perf_counter() - start < 10
+        for p in analysis.base:
+            assert case.f(p).is_zero() and case.g(p).is_zero()
+        for (_, member), (l1, l2) in zip(analysis.members, analysis.lines):
+            assert member.is_proportional(conic_from_lines(l1, l2))
+        assert not verify(analysis.sigma).equal
 
     def test_exact_membership_of_base_points(self):
         for index in (7, 8):

@@ -139,7 +139,12 @@ class TestSubgroupClasses:
         assert subgroup_classes(a) == subgroup_classes(b)
 
     def test_s4_subgroup_count(self):
-        assert len(all_subgroups(resolve_group("S4"))) == 30
+        counts = {
+            "trivial": 1, "Z2": 2, "Z2d": 2, "Z3": 2, "Z4": 3, "V": 5,
+            "V'": 5, "S3": 6, "D8": 10, "A4": 10, "S4": 30,
+        }
+        for name, count in counts.items():
+            assert len(all_subgroups(resolve_group(name))) == count, name
 
     def test_minimal_generators_regenerate(self):
         for H in all_subgroups(resolve_group("S4")):
