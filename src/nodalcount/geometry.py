@@ -36,7 +36,6 @@ __all__ = [
     "sym2",
     "mat_mul",
     "mat_vec",
-    "mat_inverse3",
     "apply_matrix",
     "collinear",
     "pencil_invariant",
@@ -344,15 +343,6 @@ def cross(u: Vec, v: Vec) -> Vec:
 def det3(A: Matrix) -> QuadExt:
     x, y, z = cross(A[1], A[2])
     return A[0][0] * x + A[0][1] * y + A[0][2] * z
-
-
-def mat_inverse3(A: Matrix) -> Matrix:
-    d = det3(A)
-    if d.is_zero():
-        raise ValueError("matrix is singular")
-    # Column i of the adjugate is orthogonal to every row of A but row i.
-    cols = [cross(A[(i + 1) % 3], A[(i + 2) % 3]) for i in range(3)]
-    return tuple(tuple(c / d for c in row) for row in zip(*cols))
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -737,17 +727,22 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
 def pencil_invariant(rep: Mapping[Permutation, Matrix], f: Conic, g: Conic) -> bool:
     """Does the group carry the coefficient span of {f, g} into itself?
 
-    Conic coefficients transform contragrediently to points (a conic q
-    vanishing on S turns into one vanishing on M.S), so the span test
-    uses sym2 of the inverse transpose of each point matrix.  For matrix
-    groups closed under transposition this agrees with using sym2 of the
-    matrices themselves.
+    ``rep`` maps group elements to point matrices; the images of the
+    generators suffice, because a span that every generator carries into
+    itself is carried into itself by every word in the generators.
+
+    A point matrix M turns a conic q(x) into q(M^-1 x).  The inverse of
+    that map on conic space is q(x) -> q(M x), which is sym2(M^T), so no
+    matrix is inverted: an invertible map carries a subspace into itself
+    exactly when its inverse does.
     """
+    if not rep:
+        raise ValueError("no matrices to check invariance under")
     span = [f.coeffs, g.coeffs]
     if rank(span) != 2:
         raise ValueError("f and g do not span a pencil")
     for M in rep.values():
-        S = sym2(transpose(mat_inverse3(M)))
+        S = sym2(transpose(M))
         if rank(span + [mat_vec(S, v) for v in span]) != 2:
             return False
     return True
@@ -1173,15 +1168,16 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     """The nine candidate invariant pencils for the order-8 dihedral action.
 
     Pencil 8 and 9 take the free parameters c, d (both nonzero); the
-    first seven are parameter free.  Every returned pencil is checked to
-    be carried into itself by the group.
+    first seven are parameter free.  Every returned pencil is checked,
+    on the group's generator images, to be carried into itself by the
+    group.
     """
     c = Fraction(c)
     d = Fraction(d)
     if c == 0 or d == 0:
         raise ValueError("parameters c and d must be nonzero")
     G, rep = d8_representation(a, b)
-    d8_invariant_structure(a, b)
+    generator_images = {s: rep[s] for s in G.generators}
     params = {"c": c, "d": d}
     spans = [
         ("YZ", "XZ"),
@@ -1199,7 +1195,7 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
         f = parse_conic(first, params)
         g = parse_conic(second, params)
         case = PencilCase(f"case {index}", G, rep, f, g)
-        if not pencil_invariant(rep, f, g):
+        if not pencil_invariant(generator_images, f, g):
             raise ArithmeticError(f"pencil {index} is unexpectedly not invariant")
         cases.append(case)
     return cases
@@ -1223,15 +1219,9 @@ def klein_counterexample() -> PencilCase:
     """The invariant pencil through the orbit of [1:2:3] under the Klein group."""
     G, rep = klein_representation()
     seed = ProjPoint((1, 2, 3))
-    order = [
-        _perm4("()"),
-        _perm4("(12)(34)"),
-        _perm4("(13)(24)"),
-        _perm4("(14)(23)"),
-    ]
-    base = [apply_matrix(rep[g], seed) for g in order]
+    base = [apply_matrix(rep[g], seed) for g in G.elements]
     f, g = pencil_through(base)
     case = PencilCase("klein", G, rep, f, g)
-    if not pencil_invariant(rep, f, g):
+    if not pencil_invariant({s: rep[s] for s in G.generators}, f, g):
         raise ArithmeticError("the Klein pencil is unexpectedly not invariant")
     return case

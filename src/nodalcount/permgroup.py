@@ -198,10 +198,10 @@ def _close(gens: Sequence[Permutation], degree: int) -> frozenset:
 class PermGroup:
     """A finite permutation group given by its complete element list.
 
-    The element tuple is always sorted (image-tuple order), which makes
-    equality, hashing and every canonical ordering downstream cheap.
-    Construction trusts the caller to pass a closed set; ``generate_group``
-    is the validating entry point and ``validate()`` re-checks the axioms.
+    Elements are kept sorted (image-tuple order) for cheap equality,
+    hashing and canonical orderings.  Construction trusts the caller to
+    pass a closed set; ``generate_group`` validates it.  ``generators`` is
+    the tuple it was closed from, or (); geometry proves invariance on it.
     """
 
     __slots__ = ("degree", "elements", "generators", "_set")
@@ -366,7 +366,8 @@ def subgroup_classes(G: PermGroup) -> tuple:
             continue
         member_indices = set()
         for g in G.elements:
-            conj = frozenset(g * h * g.inverse() for h in H.elements)
+            ginv = g.inverse()
+            conj = frozenset(g * h * ginv for h in H.elements)
             member_indices.add(position[conj])
         used |= member_indices
         members = tuple(subs[j] for j in sorted(member_indices))

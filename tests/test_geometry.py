@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalcount import geometry
 from nodalcount.burnside import BurnsideElement
 from nodalcount.geometry import (
     Conic,
@@ -31,7 +32,6 @@ from nodalcount.geometry import (
     klein_counterexample,
     klein_representation,
     mat,
-    mat_inverse3,
     mat_mul,
     nodal_members,
     parse_conic,
@@ -246,10 +246,6 @@ class TestSym2:
             return
         assert sym2(mat_mul(A, B)) == mat_mul(sym2(A), sym2(B))
 
-    def test_matrix_inverse(self):
-        M = mat([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
-        assert mat_mul(M, mat_inverse3(M)) == identity_matrix(3)
-
 
 def conic_pairs(coefficient):
     conic = st.lists(coefficient, min_size=6, max_size=6).filter(
@@ -413,7 +409,8 @@ class TestRepresentations:
                 assert mat_mul(ref, ref) == identity_matrix(3)
                 r2 = mat_mul(rot, rot)
                 assert mat_mul(r2, r2) == identity_matrix(3)
-                assert mat_mul(ref, mat_mul(rot, ref)) == mat_inverse3(rot)
+                fr = mat_mul(ref, rot)
+                assert mat_mul(fr, fr) == identity_matrix(3)
                 for g in G.elements:
                     for h in G.elements:
                         assert mat_mul(rep[g], rep[h]) == rep[g * h]
@@ -466,6 +463,25 @@ class TestRepresentations:
             parse_conic("XZ"),
         )
         assert not pencil_invariant(rep, parse_conic("X^2"), parse_conic("YZ"))
+        generator_images = {s: rep[s] for s in G.generators}
+        assert not pencil_invariant(
+            generator_images, parse_conic("X^2"), parse_conic("YZ")
+        )
+        params = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3, 5)))
+        for a in (1, -1):
+            for b in (1, -1):
+                for c, d in params:
+                    for case in d8_case_suite(a, b, c, d):
+                        images = {s: case.rep[s] for s in case.group.generators}
+                        assert pencil_invariant(
+                            images, case.f, case.g
+                        ) == pencil_invariant(case.rep, case.f, case.g)
+        # infinite order, so no power of it is its inverse
+        shear = {perm("(12)"): mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])}
+        assert pencil_invariant(shear, parse_conic("Y^2"), parse_conic("Z^2"))
+        assert not pencil_invariant(shear, parse_conic("X^2"), parse_conic("Z^2"))
+        with pytest.raises(ValueError, match="no matrices"):
+            pencil_invariant({}, parse_conic("XY"), parse_conic("XZ"))
 
     def test_klein_pencil_is_invariant(self):
         case = klein_counterexample()
@@ -568,6 +584,13 @@ class TestD8Pipeline:
     def test_nine_cases(self):
         cases = d8_case_suite(1, 1, Fraction(1), Fraction(1))
         assert len(cases) == 9
+
+    def test_nine_cases_without_the_structure_check(self, monkeypatch):
+        def fail(a, b):
+            raise AssertionError("d8_case_suite re-derived the invariant structure")
+
+        monkeypatch.setattr(geometry, "d8_invariant_structure", fail)
+        assert len(d8_case_suite(1, 1, 1, 1)) == 9
 
     def test_first_seven_not_general(self):
         cases = d8_case_suite(1, 1, Fraction(1), Fraction(1))
