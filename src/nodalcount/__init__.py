@@ -34,7 +34,6 @@ from .geometry import (
     klein_counterexample,
     klein_representation,
     nodal_members,
-    parse_conic,
     pencil_invariant,
     pencil_through,
     sym2,

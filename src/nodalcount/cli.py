@@ -334,8 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("klein", "d8"))
     p.add_argument("--a", type=_sign, default=1)
     p.add_argument("--b", type=_sign, default=1)
-    p.add_argument("--c", type=_fraction, default=Fraction(1))
-    p.add_argument("--d", type=_fraction, default=Fraction(1))
+    for name in ("c", "d"):
+        p.add_argument(
+            f"--{name}",
+            type=_fraction,
+            default=Fraction(1),
+            help=f"nonzero rational, e.g. 3/2; give a negative fraction as --{name}=-7/3",
+        )
     p.add_argument("--case", type=int, choices=range(1, 10), default=8)
     p.set_defaults(func=cmd_counterexample)
 

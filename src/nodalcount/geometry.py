@@ -12,7 +12,6 @@ pencils, degenerate-member factorization and base loci.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +29,6 @@ __all__ = [
     "ProjPoint",
     "Conic",
     "DoubleLine",
-    "parse_conic",
     "conic_to_string",
     "line_to_string",
     "sym2",
@@ -546,154 +544,6 @@ def line_to_string(line: Vec) -> str:
     return _form_to_string(line, ("X", "Y", "Z"))
 
 
-# -- conic literal parser ----------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)|(\^|\*|\+|-|\(|\)))")
-
-
-class _Poly:
-    """Degree <= 2 polynomial value used while parsing conic literals."""
-
-    __slots__ = ("const", "lin", "quad")
-
-    def __init__(self, const=ZERO, lin=None, quad=None):
-        self.const = const
-        self.lin = lin or (ZERO, ZERO, ZERO)
-        self.quad = quad or tuple([ZERO] * 6)
-
-    def degree(self) -> int:
-        if any(not c.is_zero() for c in self.quad):
-            return 2
-        if any(not c.is_zero() for c in self.lin):
-            return 1
-        return 0
-
-    def add(self, other: "_Poly") -> "_Poly":
-        return _Poly(
-            self.const + other.const,
-            add_vec(self.lin, other.lin),
-            add_vec(self.quad, other.quad),
-        )
-
-    def negate(self) -> "_Poly":
-        return _Poly(
-            -self.const,
-            tuple(-c for c in self.lin),
-            tuple(-c for c in self.quad),
-        )
-
-    def multiply(self, other: "_Poly") -> "_Poly":
-        if self.degree() + other.degree() > 2:
-            raise ValueError("conic literals cannot exceed degree 2")
-        if self.degree() == 0:
-            return _Poly(
-                self.const * other.const,
-                scale_vec(self.const, other.lin),
-                scale_vec(self.const, other.quad),
-            )
-        if other.degree() == 0:
-            return other.multiply(self)
-        return _Poly(ZERO, None, _product_column(self.lin, other.lin))
-
-
-def parse_conic(text: str, params: Mapping[str, Fraction] | None = None) -> Conic:
-    """Parse a conic literal such as "X^2 - Y^2" or "c*(X^2+Y^2) + d*Z^2".
-
-    Symbols X, Y, Z (case sensitive) are the coordinates; juxtaposed
-    symbols like "XY" mean a product; every other identifier must be
-    supplied through ``params`` as an exact rational.
-    """
-    params = dict(params or {})
-    tokens: list = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match or match.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize conic literal at {text[pos:]!r}")
-            break
-        pos = match.end()
-        number, name, symbol = match.groups()
-        if number is not None:
-            tokens.append(("num", Fraction(number)))
-        elif name is not None:
-            tokens.append(("name", name))
-        else:
-            tokens.append(("sym", symbol))
-    tokens.append(("end", None))
-
-    state = {"i": 0}
-
-    def peek():
-        return tokens[state["i"]]
-
-    def advance():
-        tok = tokens[state["i"]]
-        state["i"] += 1
-        return tok
-
-    axes = {"X": 0, "Y": 1, "Z": 2}
-
-    def atom() -> _Poly:
-        kind, value = advance()
-        if kind == "num":
-            return _Poly(const=QuadExt(value))
-        if kind == "name":
-            if all(ch in axes for ch in value):
-                poly = _Poly(const=ONE)
-                for ch in value:
-                    lin = [ZERO, ZERO, ZERO]
-                    lin[axes[ch]] = ONE
-                    poly = poly.multiply(_Poly(lin=tuple(lin)))
-                return poly
-            if value in params:
-                return _Poly(const=QuadExt(Fraction(params[value])))
-            raise ValueError(f"unknown symbol {value!r} in conic literal")
-        if kind == "sym" and value == "(":
-            inner = expression()
-            kind, value = advance()
-            if (kind, value) != ("sym", ")"):
-                raise ValueError("unbalanced parenthesis in conic literal")
-            return inner
-        if kind == "sym" and value == "-":
-            return atom().negate()
-        raise ValueError("malformed conic literal")
-
-    def power() -> _Poly:
-        base = atom()
-        while peek() == ("sym", "^"):
-            advance()
-            kind, value = advance()
-            if kind != "num" or value != 2:
-                raise ValueError("only squares are allowed in conic literals")
-            base = base.multiply(base)
-        return base
-
-    def term() -> _Poly:
-        value = power()
-        while peek() == ("sym", "*"):
-            advance()
-            value = value.multiply(power())
-        return value
-
-    def expression() -> _Poly:
-        value = term()
-        while peek()[0] == "sym" and peek()[1] in "+-":
-            op = advance()[1]
-            nxt = term()
-            value = value.add(nxt if op == "+" else nxt.negate())
-        return value
-
-    poly = expression()
-    if peek()[0] != "end":
-        raise ValueError("trailing input in conic literal")
-    if poly.degree() != 2 or not poly.const.is_zero() or any(
-        not c.is_zero() for c in poly.lin
-    ):
-        raise ValueError("conic literal must be homogeneous of degree 2")
-    return Conic(poly.quad)
-
-
 # ---------------------------------------------------------------------------
 # Symmetric square of a 3x3 matrix
 # ---------------------------------------------------------------------------
@@ -764,7 +614,7 @@ def _det_cubic(f: Conic, g: Conic):
     return [c0, (plus - minus) / 2 - c3, (plus + minus) / 2 - c0, c3]
 
 
-def _rational_roots(coeffs) -> list:
+def _rational_roots(coeffs) -> tuple:
     """Rational roots of an integer polynomial, by the rational root theorem.
 
     Returns (roots_with_multiplicity, leftover_degree): rational roots
@@ -950,22 +800,20 @@ def _intersect_line_conic(line: Vec, conic: Conic) -> list:
     return [ProjPoint(pts[0]), ProjPoint(pts[1])]
 
 
-def base_locus(f: Conic, g: Conic) -> list:
+def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
     """The four base points of a general pencil, exactly.
 
-    Factors one degenerate member into lines and intersects each line
-    with a member independent of it.  Raises NotGeneral with reason
-    "common component", "repeated base point" or "three collinear" when
-    the pencil is not general.
+    ``t`` = (mu, lambda) names a degenerate member mu*f + lambda*g and
+    ``lines`` is its factorization (from ``factor_degenerate``).  Each
+    line is intersected with a member independent of it.  Raises
+    NotGeneral with reason "common component", "repeated base point" or
+    "three collinear" when the pencil is not general.
     """
-    members = nodal_members(f, g)
-    (mu, lam), member = members[0]
-    factored = factor_degenerate(member)
-    if isinstance(factored, DoubleLine):
+    if isinstance(lines, DoubleLine):
         raise NotGeneral("repeated base point")
-    other = g if lam == 0 else f
+    other = g if t[1] == 0 else f
     points = []
-    for line in factored:
+    for line in lines:
         points.extend(_intersect_line_conic(line, other))
     if len(set(points)) != 4:
         raise NotGeneral("repeated base point")
@@ -1071,16 +919,17 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
     """Degenerate members, their lines, the base locus and the induced 4-point G-set.
 
     Raises NotGeneral / IrrationalNodalParameter for pencils outside the
-    general-position regime.
+    general-position regime.  The cubic is solved and each member
+    factored once; the first member's lines also give the base locus.
     """
     members = nodal_members(case.f, case.g)
-    base = base_locus(case.f, case.g)
-    lines = []
-    for _, member in members:
-        factored = factor_degenerate(member)
-        if isinstance(factored, DoubleLine):
+    (t, first), rest = members[0], members[1:]
+    lines = [factor_degenerate(first)]
+    base = base_locus(case.f, case.g, t, lines[0])
+    for _, member in rest:
+        lines.append(factor_degenerate(member))
+        if isinstance(lines[-1], DoubleLine):
             raise NotGeneral("repeated base point")
-        lines.append(factored)
     sigma = induced_sigma(case.rep, base, case.group)
     return PencilAnalysis(tuple(members), tuple(lines), tuple(base), sigma)
 
@@ -1090,6 +939,18 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
 
 def _perm4(text: str) -> Permutation:
     return parse_permutation(text, 4)
+
+
+# The D8-invariant conics the nine dihedral pencils are spanned from, as
+# coefficients on (x^2, y^2, z^2, yz, xz, xy).
+_D8_CONICS = {
+    "YZ": (0, 0, 0, 1, 0, 0),
+    "XZ": (0, 0, 0, 0, 1, 0),
+    "Z^2": (0, 0, 1, 0, 0, 0),
+    "X^2+Y^2": (1, 1, 0, 0, 0, 0),
+    "X^2-Y^2": (1, -1, 0, 0, 0, 0),
+    "XY": (0, 0, 0, 0, 0, 1),
+}
 
 
 def d8_representation(a: int, b: int):
@@ -1138,27 +999,21 @@ def d8_invariant_structure(a: int, b: int) -> dict:
             rows = rows_rot + eigen_rows(S_ref, mu)
             intersections[(lam, mu)] = kernel_basis(rows, 6)
 
-    def basis_vec(idx):
-        return tuple(ONE if i == idx else ZERO for i in range(6))
-
-    z2 = basis_vec(2)
-    x2py2 = (ONE, ONE, ZERO, ZERO, ZERO, ZERO)
-    x2my2 = (ONE, QuadExt(-1), ZERO, ZERO, ZERO, ZERO)
-    xy = basis_vec(5)
+    basis = {name: vec(v) for name, v in _D8_CONICS.items()}
     checks = (
-        span_equal(intersections[(1, 1)], [z2, x2py2]),
-        span_equal(intersections[(-1, 1)], [x2my2]),
-        span_equal(intersections[(-1, -1)], [xy]),
+        span_equal(intersections[(1, 1)], [basis["Z^2"], basis["X^2+Y^2"]]),
+        span_equal(intersections[(-1, 1)], [basis["X^2-Y^2"]]),
+        span_equal(intersections[(-1, -1)], [basis["XY"]]),
         intersections[(1, -1)] == [],
     )
     if not all(checks):
         raise ArithmeticError("invariant subspace structure is not the expected one")
-    plane = [basis_vec(3), basis_vec(4)]
+    plane = [basis["YZ"], basis["XZ"]]
     for S in (S_rot, S_ref):
         if rank(plane + [mat_vec(S, v) for v in plane]) != 2:
             raise ArithmeticError("span{yz, xz} is not invariant")
     return {
-        "lines": {"Z^2": z2, "X^2+Y^2": x2py2, "X^2-Y^2": x2my2, "XY": xy},
+        "lines": {name: basis[name] for name in ("Z^2", "X^2+Y^2", "X^2-Y^2", "XY")},
         "plane": tuple(plane),
         "eigenspaces": intersections,
     }
@@ -1167,10 +1022,11 @@ def d8_invariant_structure(a: int, b: int) -> dict:
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     """The nine candidate invariant pencils for the order-8 dihedral action.
 
-    Pencil 8 and 9 take the free parameters c, d (both nonzero); the
-    first seven are parameter free.  Every returned pencil is checked,
-    on the group's generator images, to be carried into itself by the
-    group.
+    Each pencil is spanned by two coefficient vectors of the literal
+    table _D8_CONICS or by c*(X^2+Y^2) + d*Z^2: pencils 8 and 9 take the
+    free parameters c, d (both nonzero), the first seven none.  Every
+    returned pencil is checked, on the group's generator images, to be
+    carried into itself by the group.
     """
     c = Fraction(c)
     d = Fraction(d)
@@ -1178,7 +1034,10 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
         raise ValueError("parameters c and d must be nonzero")
     G, rep = d8_representation(a, b)
     generator_images = {s: rep[s] for s in G.generators}
-    params = {"c": c, "d": d}
+    conics = {name: Conic(v) for name, v in _D8_CONICS.items()}
+    conics["c*(X^2+Y^2) + d*Z^2"] = Conic(
+        c * s + d * z for s, z in zip(_D8_CONICS["X^2+Y^2"], _D8_CONICS["Z^2"])
+    )
     spans = [
         ("YZ", "XZ"),
         ("Z^2", "X^2-Y^2"),
@@ -1192,8 +1051,7 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     ]
     cases = []
     for index, (first, second) in enumerate(spans, start=1):
-        f = parse_conic(first, params)
-        g = parse_conic(second, params)
+        f, g = conics[first], conics[second]
         case = PencilCase(f"case {index}", G, rep, f, g)
         if not pencil_invariant(generator_images, f, g):
             raise ArithmeticError(f"pencil {index} is unexpectedly not invariant")

@@ -33,6 +33,9 @@ def golden_argvs() -> list:
     commands.append(["counterexample", "klein"])
     commands += [["counterexample", "d8", "--case", str(k)] for k in range(1, 10)]
     commands.append(["theorem-sweep"])
+    # The labels of the parametrised pencils 8 and 9 away from c = d = 1.
+    for params in (["--c=3/2", "--d=-5"], ["--a=-1", "--b=-1", "--c=-7/3", "--d=2"]):
+        commands += [["counterexample", "d8", *params, "--case", k] for k in "89"]
     return [["--format", fmt, *cmd] for fmt in ("text", "json") for cmd in commands]
 
 

@@ -111,6 +111,12 @@ class TestCommands:
         assert code == 0
         assert "not general: common component" in out
 
+    def test_counterexample_d8_negative_fraction(self, capsys):
+        # "--c -7/3" would read -7/3 as an option; the "=" form parses
+        code, out = run(capsys, "counterexample", "d8", "--c=-7/3", "--case", "8")
+        assert code == 0
+        assert "lambda*((-7/3)*X^2 + (-7/3)*Y^2 + Z^2)" in out
+
     def test_counterexample_d8_case9(self, capsys):
         code, out = run(capsys, "counterexample", "d8", "--case", "9")
         assert code == 0

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from nodalcount import geometry
 from nodalcount.burnside import BurnsideElement
 from nodalcount.geometry import (
+    MONOMIALS,
     Conic,
     DoubleLine,
     FieldExtensionError,
     IrrationalNodalParameter,
     NotGeneral,
+    PencilCase,
     ProjPoint,
     QuadExt,
     _hom_from_generators,
@@ -34,7 +36,6 @@ from nodalcount.geometry import (
     mat,
     mat_mul,
     nodal_members,
-    parse_conic,
     pencil_invariant,
     pencil_through,
     qe,
@@ -49,6 +50,18 @@ from nodalcount.presets import resolve_group
 
 def perm(text):
     return parse_permutation(text, 4)
+
+
+def conic(terms):
+    """A conic from its nonzero coefficients keyed by monomial, as {"XY": 1}."""
+    assert set(terms) <= set(MONOMIALS), terms
+    return Conic(terms.get(name, 0) for name in MONOMIALS)
+
+
+def first_member_base_locus(f, g):
+    """base_locus on the first degenerate member, solved and factored here."""
+    t, member = nodal_members(f, g)[0]
+    return base_locus(f, g, t, factor_degenerate(member))
 
 
 # ---------------------------------------------------------------------------
@@ -142,41 +155,31 @@ class TestProjPoint:
 
 
 # ---------------------------------------------------------------------------
-# conics and their literals
+# conics
 # ---------------------------------------------------------------------------
 
 
 class TestConic:
-    def test_parse_simple(self):
-        c = parse_conic("X^2 - Y^2")
-        assert c.coeffs == (qe(1), qe(-1), qe(0), qe(0), qe(0), qe(0))
-
-    def test_parse_with_parameters(self):
-        c = parse_conic("c*(X^2+Y^2) + d*Z^2", {"c": Fraction(2), "d": Fraction(-3)})
-        assert c.coeffs == (qe(2), qe(2), qe(-3), qe(0), qe(0), qe(0))
-
-    def test_parse_product_monomials(self):
-        assert parse_conic("XY").coeffs == (qe(0),) * 5 + (qe(1),)
-        assert parse_conic("X*Y") == parse_conic("XY")
-
-    def test_parse_rejects_non_homogeneous(self):
-        with pytest.raises(ValueError):
-            parse_conic("X^2 + X")
-        with pytest.raises(ValueError):
-            parse_conic("X^2 + 1")
-
-    def test_roundtrip_rendering(self):
-        for text in ["X^2 - Y^2", "2*X^2 + Z^2", "XY", "X^2 + Y^2 + Z^2"]:
-            assert parse_conic(conic_to_string(parse_conic(text))) == parse_conic(text)
+    def test_conic_to_string(self):
+        cases = {
+            (1, -1, 0, 0, 0, 0): "X^2 - Y^2",
+            (2, 0, 1, 0, 0, 0): "2*X^2 + Z^2",
+            (0, 0, 0, 0, 0, 1): "XY",
+            (Fraction(3, 2), Fraction(3, 2), -5, 0, 0, 0): (
+                "(3/2)*X^2 + (3/2)*Y^2 - 5*Z^2"
+            ),
+        }
+        for coeffs, text in cases.items():
+            assert conic_to_string(Conic(coeffs)) == text
 
     def test_symmetric_matrix_convention(self):
-        c = parse_conic("YZ")
+        c = conic({"YZ": 1})
         M = c.sym_matrix()
         assert M[1][2] == qe(Fraction(1, 2))
         assert M[2][1] == qe(Fraction(1, 2))
 
     def test_evaluation(self):
-        c = parse_conic("X^2 + Y^2 + Z^2")
+        c = conic({"X^2": 1, "Y^2": 1, "Z^2": 1})
         p = ProjPoint((1, 1, QuadExt(0, 1, -2)))
         assert c(p).is_zero()
 
@@ -278,8 +281,8 @@ class TestDetCubic:
 
 class TestNodalMembers:
     def test_double_line_and_rank_two_members(self):
-        f = parse_conic("Z^2")
-        g = parse_conic("XY")
+        f = conic({"Z^2": 1})
+        g = conic({"XY": 1})
         members = nodal_members(f, g)
         ts = [t for t, _ in members]
         assert ts == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
@@ -288,12 +291,12 @@ class TestNodalMembers:
 
     def test_common_component_detected(self):
         with pytest.raises(NotGeneral) as exc:
-            nodal_members(parse_conic("XY"), parse_conic("XZ"))
+            nodal_members(conic({"XY": 1}), conic({"XZ": 1}))
         assert exc.value.reason == "common component"
 
     def test_case8_roots(self):
-        f = parse_conic("X^2-Y^2")
-        g = parse_conic("X^2+Y^2+Z^2")
+        f = conic({"X^2": 1, "Y^2": -1})
+        g = conic({"X^2": 1, "Y^2": 1, "Z^2": 1})
         members = nodal_members(f, g)
         assert [t for t, _ in members] == [
             (Fraction(1), Fraction(-1)),
@@ -303,36 +306,36 @@ class TestNodalMembers:
 
     def test_irrational_roots_rejected(self):
         # the dehomogenized determinant is -2 - x^2/4: no rational roots
-        f = parse_conic("X^2 - 2*Y^2 + Z^2")
-        g = parse_conic("XY")
+        f = conic({"X^2": 1, "Y^2": -2, "Z^2": 1})
+        g = conic({"XY": 1})
         with pytest.raises(IrrationalNodalParameter):
             nodal_members(f, g)
 
 
 class TestFactorDegenerate:
     def test_difference_of_squares(self):
-        pair = factor_degenerate(parse_conic("X^2 - Y^2"))
+        pair = factor_degenerate(conic({"X^2": 1, "Y^2": -1}))
         assert not isinstance(pair, DoubleLine)
         lines = {tuple(map(str, line)) for line in pair}
-        assert conic_from_lines(*pair).is_proportional(parse_conic("X^2 - Y^2"))
+        assert conic_from_lines(*pair).is_proportional(conic({"X^2": 1, "Y^2": -1}))
 
     def test_quadratic_extension_needed(self):
-        conic = parse_conic("Z^2 + 2*X^2")
-        pair = factor_degenerate(conic)
-        assert conic_from_lines(*pair).is_proportional(conic)
+        singular = conic({"X^2": 2, "Z^2": 1})
+        pair = factor_degenerate(singular)
+        assert conic_from_lines(*pair).is_proportional(singular)
         radicands = {
             c.radicand for line in pair for c in line if c.radicand is not None
         }
         assert radicands == {-2}
 
     def test_double_line(self):
-        out = factor_degenerate(parse_conic("Z^2"))
+        out = factor_degenerate(conic({"Z^2": 1}))
         assert isinstance(out, DoubleLine)
         assert [str(c) for c in out.line] == ["0", "0", "1"]
 
     def test_rank_three_rejected(self):
         with pytest.raises(ValueError):
-            factor_degenerate(parse_conic("X^2 + Y^2 + Z^2"))
+            factor_degenerate(conic({"X^2": 1, "Y^2": 1, "Z^2": 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +345,9 @@ class TestFactorDegenerate:
 
 class TestBaseLocus:
     def test_case8_points(self):
-        f = parse_conic("X^2-Y^2")
-        g = parse_conic("X^2+Y^2+Z^2")
-        points = base_locus(f, g)
+        f = conic({"X^2": 1, "Y^2": -1})
+        g = conic({"X^2": 1, "Y^2": 1, "Z^2": 1})
+        points = first_member_base_locus(f, g)
         w = QuadExt(0, 1, -2)
         expected = {
             ProjPoint((1, 1, w)),
@@ -361,8 +364,15 @@ class TestBaseLocus:
                     assert not collinear(points[i], points[j], points[k])
 
     def test_repeated_base_point(self):
+        # the first degenerate member of this pencil is the double line Z^2
+        f, g = conic({"Z^2": 1}), conic({"X^2": 1, "Y^2": -1})
         with pytest.raises(NotGeneral) as exc:
-            base_locus(parse_conic("Z^2"), parse_conic("X^2-Y^2"))
+            first_member_base_locus(f, g)
+        assert exc.value.reason == "repeated base point"
+        G = resolve_group("trivial")
+        case = PencilCase("z2", G, {G.identity_element(): identity_matrix(3)}, f, g)
+        with pytest.raises(NotGeneral) as exc:
+            analyze_pencil(case)
         assert exc.value.reason == "repeated base point"
 
     def test_klein_round_trip(self):
@@ -373,12 +383,12 @@ class TestBaseLocus:
             ProjPoint((-3, -2, -1)),
         ]
         f, g = pencil_through(expected)
-        assert set(base_locus(f, g)) == set(expected)
+        assert set(first_member_base_locus(f, g)) == set(expected)
 
     def test_pencil_span_round_trip(self):
-        f = parse_conic("X^2-Y^2")
-        g = parse_conic("X^2+Y^2+Z^2")
-        f2, g2 = pencil_through(base_locus(f, g))
+        f = conic({"X^2": 1, "Y^2": -1})
+        g = conic({"X^2": 1, "Y^2": 1, "Z^2": 1})
+        f2, g2 = pencil_through(first_member_base_locus(f, g))
         assert span_equal([f.coeffs, g.coeffs], [f2.coeffs, g2.coeffs])
 
 
@@ -454,18 +464,18 @@ class TestRepresentations:
     def test_pencil_invariance(self):
         G, rep = d8_representation(1, 1)
         assert pencil_invariant(
-            rep, parse_conic("X^2-Y^2"), parse_conic("X^2+Y^2+Z^2")
+            rep, conic({"X^2": 1, "Y^2": -1}), conic({"X^2": 1, "Y^2": 1, "Z^2": 1})
         )
         trivial = resolve_group("trivial")
         assert pencil_invariant(
             {trivial.identity_element(): identity_matrix(3)},
-            parse_conic("XY"),
-            parse_conic("XZ"),
+            conic({"XY": 1}),
+            conic({"XZ": 1}),
         )
-        assert not pencil_invariant(rep, parse_conic("X^2"), parse_conic("YZ"))
+        assert not pencil_invariant(rep, conic({"X^2": 1}), conic({"YZ": 1}))
         generator_images = {s: rep[s] for s in G.generators}
         assert not pencil_invariant(
-            generator_images, parse_conic("X^2"), parse_conic("YZ")
+            generator_images, conic({"X^2": 1}), conic({"YZ": 1})
         )
         params = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3, 5)))
         for a in (1, -1):
@@ -478,10 +488,10 @@ class TestRepresentations:
                         ) == pencil_invariant(case.rep, case.f, case.g)
         # infinite order, so no power of it is its inverse
         shear = {perm("(12)"): mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])}
-        assert pencil_invariant(shear, parse_conic("Y^2"), parse_conic("Z^2"))
-        assert not pencil_invariant(shear, parse_conic("X^2"), parse_conic("Z^2"))
+        assert pencil_invariant(shear, conic({"Y^2": 1}), conic({"Z^2": 1}))
+        assert not pencil_invariant(shear, conic({"X^2": 1}), conic({"Z^2": 1}))
         with pytest.raises(ValueError, match="no matrices"):
-            pencil_invariant({}, parse_conic("XY"), parse_conic("XZ"))
+            pencil_invariant({}, conic({"XY": 1}), conic({"XZ": 1}))
 
     def test_klein_pencil_is_invariant(self):
         case = klein_counterexample()
@@ -578,6 +588,21 @@ class TestKleinPipeline:
                 pairings.add(tuple(sorted(blocks)))
             # the three degenerate members realize the three pairings
             assert len(pairings) == 3
+
+
+def test_analyze_pencil_solves_and_factors_once(monkeypatch):
+    calls = {"nodal_members": 0, "factor_degenerate": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(geometry, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    for case in (klein_counterexample(), d8_case_suite(1, 1, 1, 1)[7]):
+        calls.update(dict.fromkeys(calls, 0))
+        analyze_pencil(case)
+        # one cubic, and one factorization for each of the three members
+        assert calls == {"nodal_members": 1, "factor_degenerate": 3}
 
 
 class TestD8Pipeline:
