@@ -6,10 +6,7 @@ from .burnside import (
     TableOfMarks,
     be_equal,
     decompose,
-    disjoint_union_gset,
     inflate,
-    inflate_concrete,
-    product_gset,
     table_of_marks,
 )
 from .geometry import (

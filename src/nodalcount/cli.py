@@ -180,17 +180,15 @@ def _expanded_table(report: nodal.VerificationReport):
     return rows
 
 
-def _render_counterexample(args, label, analysis, report, extra_lines=()):
-    lines = [f"pencil: {label}"]
-    lines.extend(extra_lines)
-    lines.append("degenerate members:")
+def _render_counterexample(args, label, analysis, report):
+    lines = [f"pencil: {label}", "degenerate members:"]
     for ((mu, lam), member), pair in zip(analysis.members, analysis.lines):
         lines.append(
             f"  t=[{mu}:{lam}]  {conic_to_string(member)}"
             f"  =  ({line_to_string(pair[0])}) * ({line_to_string(pair[1])})"
         )
     lines.append("base locus: " + ", ".join(str(p) for p in analysis.base))
-    lines.append(report.render_text(args.target if hasattr(args, "target") else None))
+    lines.append(report.render_text(args.target))
     expanded = _expanded_table(report)
     width = max(len(name) for name, _, _ in expanded)
     lines.append("")

@@ -38,8 +38,6 @@ from nodalcount.burnside import (
     be_equal,
     decompose,
     inflate,
-    inflate_concrete,
-    product_gset,
 )
 from nodalcount.geometry import (
     NotGeneral,
@@ -75,6 +73,7 @@ from nodalcount.permgroup import (
     subgroup_label,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
+from oracles import inflate_concrete, product_gset
 
 import random
 

@@ -9,10 +9,7 @@ from nodalcount.burnside import (
     ConcreteGSet,
     be_equal,
     decompose,
-    disjoint_union_gset,
     inflate,
-    inflate_concrete,
-    product_gset,
     table_of_marks,
 )
 from nodalcount.permgroup import (
@@ -23,6 +20,7 @@ from nodalcount.permgroup import (
     all_subgroups,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
+from oracles import disjoint_union_gset, inflate_concrete, product_gset
 
 
 def perm(text):

@@ -477,15 +477,16 @@ class TestRepresentations:
         assert not pencil_invariant(
             generator_images, conic({"X^2": 1}), conic({"YZ": 1})
         )
+        # d8_case_suite proves nothing itself, and analyze_pencil proves
+        # only the general pencils 8 and 9: all 72 pencils are proved here
         params = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(-3, 5)))
         for a in (1, -1):
             for b in (1, -1):
                 for c, d in params:
                     for case in d8_case_suite(a, b, c, d):
                         images = {s: case.rep[s] for s in case.group.generators}
-                        assert pencil_invariant(
-                            images, case.f, case.g
-                        ) == pencil_invariant(case.rep, case.f, case.g)
+                        assert pencil_invariant(images, case.f, case.g)
+                        assert pencil_invariant(case.rep, case.f, case.g)
         # infinite order, so no power of it is its inverse
         shear = {perm("(12)"): mat([[1, 1, 0], [0, 1, 0], [0, 0, 1]])}
         assert pencil_invariant(shear, conic({"Y^2": 1}), conic({"Z^2": 1}))
@@ -524,6 +525,30 @@ class TestRepresentations:
         ]
         with pytest.raises(ValueError):
             induced_sigma(rep, base, G)
+        # a general pencil the Klein group does not keep is refused by
+        # analyze_pencil, the one runtime proof of invariance
+        f, g = pencil_through(
+            [ProjPoint(p) for p in ((1, 2, 3), (1, 5, -1), (2, -1, 7), (3, 1, 1))]
+        )
+        with pytest.raises(ValueError, match="does not preserve the base locus"):
+            analyze_pencil(PencilCase("not invariant", G, rep, f, g))
+
+    def test_induced_sigma_rejects_singular_matrices(self):
+        G = resolve_group("trivial")
+        base = [
+            ProjPoint((1, 2, 3)),
+            ProjPoint((1, 2, -1)),
+            ProjPoint((1, -2, -1)),
+            ProjPoint((-3, -2, -1)),
+        ]
+        singular = (
+            mat([[0, 0, 0]] * 3),  # every image is (0:0:0)
+            mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),  # [1:2:3] -> [1:2:0]
+            mat([[1, 0, 0], [2, 0, 0], [3, 0, 0]]),  # every point -> [1:2:3]
+        )
+        for M in singular:
+            with pytest.raises(ValueError):
+                induced_sigma({G.identity_element(): M}, base, G)
 
 
 class TestInvariantStructure:
@@ -590,14 +615,45 @@ class TestKleinPipeline:
             assert len(pairings) == 3
 
 
-def test_analyze_pencil_solves_and_factors_once(monkeypatch):
-    calls = {"nodal_members": 0, "factor_degenerate": 0}
-    for name in calls:
+def count_calls(monkeypatch, *names):
+    """Count calls to the named geometry functions, as a dict by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _name=name, _original=getattr(geometry, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def test_pencils_are_built_without_an_invariance_proof(monkeypatch):
+    calls = count_calls(monkeypatch, "pencil_invariant", "sym2")
+    d8_case_suite(1, 1, 1, 1)
+    klein_counterexample()
+    assert calls == {"pencil_invariant": 0, "sym2": 0}
+
+
+nonzero_height_99 = st.builds(
+    Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 99)
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]),
+    nonzero_height_99,
+    nonzero_height_99,
+)
+def test_pencils_8_and_9_are_invariant_and_general(signs, c, d):
+    for case in d8_case_suite(*signs, c, d)[7:]:
+        images = {s: case.rep[s] for s in case.group.generators}
+        assert pencil_invariant(images, case.f, case.g)
+        analyze_pencil(case)  # raises NotGeneral unless general
+
+
+def test_analyze_pencil_solves_and_factors_once(monkeypatch):
+    calls = count_calls(monkeypatch, "nodal_members", "factor_degenerate")
     for case in (klein_counterexample(), d8_case_suite(1, 1, 1, 1)[7]):
         calls.update(dict.fromkeys(calls, 0))
         analyze_pencil(case)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from nodalcount.burnside import BurnsideElement, ConcreteGSet, inflate_concrete
+from nodalcount.burnside import BurnsideElement, ConcreteGSet
 from nodalcount.nodal import (
     ALL_PAIRINGS,
     Pairing,
@@ -22,6 +22,7 @@ from nodalcount.permgroup import (
     subgroup_classes,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
+from oracles import inflate_concrete
 
 
 def perm(text):
