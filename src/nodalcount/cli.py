@@ -356,10 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotGeneral, IrrationalNodalParameter, FieldExtensionError) as exc:
+    except (CliError, NotGeneral, IrrationalNodalParameter, FieldExtensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

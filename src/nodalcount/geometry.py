@@ -614,72 +614,59 @@ def _det_cubic(f: Conic, g: Conic):
     return [c0, (plus - minus) / 2 - c3, (plus + minus) / 2 - c0, c3]
 
 
-def _rational_roots(coeffs) -> tuple:
-    """Rational roots of an integer polynomial, by the rational root theorem.
+def _rational_roots(coeffs) -> list:
+    """Rational roots, with multiplicity, of an integer polynomial of degree <= 3.
 
-    Returns (roots_with_multiplicity, leftover_degree): rational roots
-    are divided out as often as they occur; leftover_degree > 0 means the
-    polynomial keeps a factor without rational roots.
+    A nonzero p of degree n becomes the monic integer polynomial
+    lead^(n-1)*p(y/lead) (``monic`` holds its coefficients below the
+    leading 1), whose rational roots y are integers, and x = y/lead.  A
+    cubic has a real root inside the Cauchy bound B = 1 + max|coefficient|;
+    integer bisection on [-B, B] either lands on it or traps it between two
+    consecutive integers, which proves it irrational.  The quadratic left
+    after dividing out an integer root splits with math.isqrt.  Raises
+    IrrationalNodalParameter if any root is irrational.
     """
     poly = list(coeffs)
-    while poly and poly[-1] == 0:
+    while poly[-1] == 0:
         poly.pop()
-    roots = []
-    # strip x = 0 roots
-    while poly and poly[0] == 0:
-        roots.append(Fraction(0))
-        poly.pop(0)
-    while len(poly) > 1:
-        lead_divisors = _divisors(Fraction(poly[-1]).numerator)
-        candidates = (
-            Fraction(sign * p, q)
-            for p in _divisors(Fraction(poly[0]).numerator)
-            for q in lead_divisors
-            for sign in (1, -1)
-        )
-        found = next((x for x in candidates if _poly_eval(poly, x) == 0), None)
-        if found is None:
-            break
-        roots.append(found)
-        poly = _poly_divide_root(poly, found)
-    leftover = len(poly) - 1 if poly else 0
-    return roots, leftover
-
-
-def _divisors(n: int):
-    """Positive divisors of n in ascending order, paired up to isqrt(|n|)."""
-    n = abs(int(n))
-    if n == 0:
-        return [1]
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _poly_eval(poly, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divide_root(poly, root: Fraction):
-    """Synthetic division of poly (ascending coefficients) by (x - root)."""
-    desc = list(reversed(poly))
-    out = [desc[0]]
-    for c in desc[1:-1]:
-        out.append(c + root * out[-1])
-    return list(reversed(out))
+    n, lead = len(poly) - 1, poly[-1]
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(poly[:-1])]
+    ys = []
+    if n == 3:
+        c0, c1, c2 = monic
+        lo = -1 - max(map(abs, monic))
+        hi = -lo
+        while hi - lo > 1:
+            y = (lo + hi) // 2
+            value = ((y + c2) * y + c1) * y + c0
+            if value == 0:
+                break
+            lo, hi = (y, hi) if value < 0 else (lo, y)
+        else:
+            raise IrrationalNodalParameter("determinant cubic has an irrational root")
+        ys.append(y)
+        monic = [c1 + y * (c2 + y), c2 + y]
+    if len(monic) == 2:
+        c0, c1 = monic
+        disc = c1 * c1 - 4 * c0
+        root = math.isqrt(disc) if disc >= 0 else -1
+        if root * root != disc:
+            raise IrrationalNodalParameter("determinant cubic has an irrational root")
+        ys += [(-c1 - root) // 2, (-c1 + root) // 2]
+    elif monic:
+        ys.append(-monic[0])
+    return [Fraction(y, lead) for y in ys]
 
 
 def nodal_members(f: Conic, g: Conic) -> list:
     """The degenerate members of the pencil {mu f + lambda g}.
 
-    Solves det(mu A + lambda B) = 0 by the rational root theorem on the
-    dehomogenized cubic; returns [(mu, lambda), member] pairs with the
-    affine roots in ascending order and [0:1] last.  Raises NotGeneral
-    ("common component") if the cubic vanishes identically (every member
-    singular) and IrrationalNodalParameter if the cubic does not split
-    over Q.
+    Solves det(mu A + lambda B) = 0 exactly: the dehomogenized cubic,
+    scaled to integers, goes to ``_rational_roots`` (integer bisection and
+    isqrt).  Returns [(mu, lambda), member] pairs with the affine roots in
+    ascending order and [0:1] last.  Raises NotGeneral ("common
+    component") if the cubic vanishes identically (every member singular)
+    and IrrationalNodalParameter if the cubic does not split over Q.
     """
     cubic = _det_cubic(f, g)
     if not all(c.is_rational() for c in cubic):
@@ -692,13 +679,8 @@ def nodal_members(f: Conic, g: Conic) -> list:
     denominator = math.lcm(*(c.denominator for c in rational))
     ints = [int(c * denominator) for c in rational]
     degree = max(i for i, c in enumerate(ints) if c != 0)
-    roots, leftover = _rational_roots(ints)
-    if leftover > 0:
-        raise IrrationalNodalParameter(
-            "determinant cubic has an irrational root"
-        )
     members = []
-    for root in sorted(set(roots)):
+    for root in sorted(set(_rational_roots(ints))):
         mu, lam = Fraction(1), root
         coeffs = tuple(
             qe(mu) * cf + qe(lam) * cg for cf, cg in zip(f.coeffs, g.coeffs)

@@ -15,6 +15,7 @@ from .permgroup import PermGroup, generate_group, parse_permutation
 __all__ = ["PRESETS", "PRESET_ORDER", "resolve_group"]
 
 
+# One representative per conjugacy class of subgroups of S4, order ascending.
 PRESETS = {
     "trivial": (),
     "Z2": ("(12)",),
@@ -36,20 +37,7 @@ ALIASES = {
     "Vprime": "V'",
 }
 
-# One representative per conjugacy class of subgroups of S4, order ascending.
-PRESET_ORDER = (
-    "trivial",
-    "Z2",
-    "Z2d",
-    "Z3",
-    "Z4",
-    "V",
-    "V'",
-    "S3",
-    "D8",
-    "A4",
-    "S4",
-)
+PRESET_ORDER = tuple(PRESETS)
 
 
 @lru_cache(maxsize=None)

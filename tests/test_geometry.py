@@ -18,6 +18,7 @@ from nodalcount.geometry import (
     ProjPoint,
     QuadExt,
     _hom_from_generators,
+    _rational_roots,
     analyze_pencil,
     apply_matrix,
     base_locus,
@@ -46,6 +47,9 @@ from nodalcount.geometry import (
 from nodalcount.nodal import verify
 from nodalcount.permgroup import class_index_of, generate_group, parse_permutation
 from nodalcount.presets import resolve_group
+
+
+PRIME = 10**9 + 7
 
 
 def perm(text):
@@ -310,6 +314,45 @@ class TestNodalMembers:
         g = conic({"XY": 1})
         with pytest.raises(IrrationalNodalParameter):
             nodal_members(f, g)
+
+
+class TestRationalRoots:
+    @settings(max_examples=200, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(-999, 999).filter(bool)),
+            max_size=3,
+        ),
+        st.integers(-99, 99).filter(bool),
+        st.integers(0, 2),
+    )
+    def test_roots_of_products_of_linear_factors(self, factors, scale, padding):
+        poly = [scale]
+        for a, b in factors:
+            # multiply by b*x - a
+            poly = [b * high - a * low for low, high in zip(poly + [0], [0] + poly)]
+        roots = _rational_roots(poly + [0] * padding)
+        assert sorted(roots) == sorted(Fraction(a, b) for a, b in factors)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            pytest.param([2, -2, -1, 1], id="(x-1)(x^2-2)"),
+            pytest.param([-2, 0, 0, 1], id="x^3-2"),
+            pytest.param([1, 0, 1], id="x^2+1"),
+        ],
+    )
+    def test_irrational_roots_rejected(self, poly):
+        with pytest.raises(IrrationalNodalParameter) as exc:
+            _rational_roots(poly)
+        assert str(exc.value) == "determinant cubic has an irrational root"
+
+    def test_large_roots_solved_exactly(self):
+        third = Fraction(PRIME, 3)
+        assert sorted(_rational_roots([-(PRIME**2), 0, 9])) == [-third, third]
+        # (2x - 1)(9x^2 - PRIME^2)
+        cubic = [PRIME**2, -2 * PRIME**2, -9, 18]
+        assert sorted(_rational_roots(cubic)) == [-third, Fraction(1, 2), third]
 
 
 class TestFactorDegenerate:
@@ -714,17 +757,32 @@ class TestD8Pipeline:
         for p in analysis.base:
             assert f(p).is_zero() and g(p).is_zero()
 
-    def test_case8_with_a_large_parameter(self):
-        # c = 10007 puts 10007^2 into the determinant cubic; a divisor scan
-        # up to n instead of isqrt(n) spends tens of seconds on it
+    @pytest.mark.parametrize(
+        "index, c, d, sigma",
+        [
+            pytest.param(7, 10007, 1, "[G/(12)(34)]", id="case8-c=10007"),
+            pytest.param(7, PRIME, 1, "[G/(12)(34)]", id="case8-c=PRIME"),
+            pytest.param(8, PRIME, 1, "[G/(24)]", id="case9-c=PRIME"),
+            pytest.param(
+                7, Fraction(1, PRIME), 1, "[G/(12)(34)]", id="case8-c=1/PRIME"
+            ),
+            pytest.param(8, Fraction(1, PRIME), 1, "[G/(24)]", id="case9-c=1/PRIME"),
+            pytest.param(8, 1, -PRIME, "[G/(24)]", id="case9-d=-PRIME"),
+        ],
+    )
+    def test_case8_with_a_large_parameter(self, index, c, d, sigma):
+        # the determinant cubic carries c^2 and d^2, here up to PRIME^2; its
+        # roots come from integer bisection and isqrt, whose cost grows with
+        # the bit length of c and d, not with their size
         start = time.perf_counter()
-        case = d8_case_suite(1, 1, Fraction(10007), Fraction(1))[7]
+        case = d8_case_suite(1, 1, Fraction(c), Fraction(d))[index]
         analysis = analyze_pencil(case)
         assert time.perf_counter() - start < 10
         for p in analysis.base:
             assert case.f(p).is_zero() and case.g(p).is_zero()
         for (_, member), (l1, l2) in zip(analysis.members, analysis.lines):
             assert member.is_proportional(conic_from_lines(l1, l2))
+        assert analysis.sigma.sigma_string() == sigma
         assert not verify(analysis.sigma).equal
 
     def test_exact_membership_of_base_points(self):
