@@ -58,7 +58,7 @@ def _group(args):
     try:
         return resolve_group(args.group)
     except KeyError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
 
 
 _SIGMA_TERM = re.compile(r"^(?:(\d+)\*|(\d*)\[G(?:/(.+))?\])$")

@@ -2,12 +2,11 @@
 
 Everything here is exact and exhaustive: a group is its full, sorted
 element list, built by one breadth-first walk over generator edges
-(``_close``).  Cyclic subgroups are the walks from one element, every
-other subgroup is a walk from a cyclic subgroup's generators plus one
-more element, and conjugacy classes of subgroups receive a canonical
-order so that integer vectors indexed by them mean the same thing in
-every run.  Intended scale is degree <= 8 and order <= 48; nothing here
-is clever enough for more.
+(``_close``).  Subgroups are enumerated for degree <= 4 only, where
+every subgroup is generated by at most two elements, so the closures
+of all element pairs reach each one.  Conjugacy classes of subgroups
+receive a canonical order so that integer vectors indexed by them mean
+the same thing in every run.
 """
 
 from __future__ import annotations
@@ -248,9 +247,6 @@ class PermGroup:
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, {subgroup_label(self)})"
 
-    def element_key(self) -> tuple:
-        return tuple(p.images for p in self.elements)
-
     def validate(self) -> None:
         """Check identity, closure and inverses; raises ValueError on failure."""
         if self.identity_element() not in self:
@@ -300,45 +296,31 @@ def generate_group(generators: Iterable[Permutation], degree: int) -> PermGroup:
 
 
 @lru_cache(maxsize=None)
-def minimal_generating_set(G: PermGroup) -> tuple:
-    """A smallest generating set, chosen deterministically; () for the trivial group."""
-    if G.order == 1:
-        return ()
-    candidates = [p for p in G.elements if not p.is_identity()]
-    for size in range(1, 4):
-        for combo in combinations(candidates, size):
-            if len(_close(combo, G.degree)) == G.order:
-                return combo
-    # Subgroups of S4 never get here; fall back to everything.
-    return tuple(candidates)
-
-
-@lru_cache(maxsize=None)
 def all_subgroups(G: PermGroup) -> tuple:
     """Every subgroup of G, canonically sorted by (order, element list).
 
-    Every subgroup is a join of cyclic ones.  Starting from the cyclic
-    subgroups <c>, each subgroup found keeps the generator tuple that
-    produced it, and its join with <c> is ``_close(gens + (c,))``; the
-    search runs breadth-first until no join is new.
+    Every subgroup of S4 is generated by at most two elements, so the
+    closures of the tuples of at most two non-identity elements reach
+    them all.  The walk goes by tuple size, then in ``combinations``
+    order, and each subgroup keeps the first tuple that closes to it:
+    its smallest generating set that comes first lexicographically.
+    Degree > 4 is refused, since <(12),(34),(56)> needs three generators.
     """
+    if G.degree > 4:
+        raise ValueError(f"subgroups are enumerated for degree <= 4, not {G.degree}")
+    others = [p for p in G.elements if not p.is_identity()]
     found = {}
-    for c in G.elements:
-        found.setdefault(_close((c,), G.degree), (c,))
-    cyclic_gens = [gens[0] for gens in found.values()]
-    queue = list(found)
-    for current in queue:
-        for c in cyclic_gens:
-            if c in current:
-                continue
-            gens = found[current] + (c,)
-            joined = _close(gens, G.degree)
-            if joined not in found:
-                found[joined] = gens
-                queue.append(joined)
+    for size in range(3):
+        for gens in combinations(others, size):
+            found.setdefault(_close(gens, G.degree), gens)
     groups = [PermGroup(G.degree, fs, gens) for fs, gens in found.items()]
-    groups.sort(key=lambda H: (H.order, H.element_key()))
+    groups.sort(key=lambda H: (H.order, H.elements))
     return tuple(groups)
+
+
+def minimal_generating_set(G: PermGroup) -> tuple:
+    """A smallest generating set, chosen deterministically; () for the trivial group."""
+    return all_subgroups(G)[-1].generators
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
-"""Test-only oracles: concrete G-set constructions checked against the ring.
+"""Test-only oracles: concrete G-set constructions checked against the ring,
+and brute-force subgroup searches checked against ``permgroup``.
 
-Each builds a literal G-set, so ``decompose`` of it is an answer that the
-Burnside-ring formulas (``inflate``, products, sums) must reproduce.
+Each G-set oracle builds a literal G-set, so ``decompose`` of it is an
+answer that the Burnside-ring formulas (``inflate``, products, sums) must
+reproduce.  The subgroup oracles close sets under all pairwise products,
+not over generator edges, and assume no bound on the number of generators.
 """
 
+from itertools import combinations
+
 from nodalcount.burnside import ConcreteGSet
-from nodalcount.permgroup import PermGroup
+from nodalcount.permgroup import PermGroup, Permutation
 
 
 def inflate_concrete(G: PermGroup, H: PermGroup, S: ConcreteGSet) -> ConcreteGSet:
@@ -57,3 +62,42 @@ def disjoint_union_gset(S: ConcreteGSet, T: ConcreteGSet) -> ConcreteGSet:
         return (side, S.act(g, x) if side == 0 else T.act(g, x))
 
     return ConcreteGSet(S.ambient, points, act)
+
+
+def closure_oracle(elements, degree: int) -> frozenset:
+    """The set grown from the identity and elements by all pairwise products until stable."""
+    group = {Permutation.identity(degree), *elements}
+    while True:
+        grown = group | {a * b for a in group for b in group}
+        if grown == group:
+            return frozenset(group)
+        group = grown
+
+
+def subgroups_oracle(G: PermGroup) -> set:
+    """Every subgroup of G, found by adding one element at a time to each subgroup found.
+
+    Every subgroup is reached from the trivial one this way, whatever the
+    number of generators it needs.
+    """
+    found = {closure_oracle((), G.degree)}
+    queue = list(found)
+    for H in queue:
+        for g in G.elements:
+            if g not in H:
+                K = closure_oracle(H | {g}, G.degree)
+                if K not in found:
+                    found.add(K)
+                    queue.append(K)
+    return found
+
+
+def minimal_generators_oracle(H: PermGroup) -> tuple:
+    """The least number of generators, then the first such tuple in ``combinations``
+    order over the sorted non-identity elements of H."""
+    others = [p for p in H.elements if not p.is_identity()]
+    target = frozenset(H.elements)
+    for size in range(len(others) + 1):
+        for gens in combinations(others, size):
+            if closure_oracle(gens, H.degree) == target:
+                return gens

@@ -80,8 +80,9 @@ class TestCommands:
         assert "G | 1 1" in rows
 
     def test_unknown_group_is_input_error(self, capsys):
-        code = main(["marks", "--group", "Q8"])
+        code = main(["marks", "--group", "X"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown group preset 'X'")
 
     def test_bad_sigma_is_input_error(self, capsys):
         code = main(["verify", "--group", "Z2", "--sigma", "banana"])

@@ -12,7 +12,8 @@ from nodalcount.permgroup import (
     subgroup_classes,
     subgroup_label,
 )
-from nodalcount.presets import resolve_group
+from nodalcount.presets import PRESETS, resolve_group
+from oracles import minimal_generators_oracle, subgroups_oracle
 
 
 def perm(text, degree=4):
@@ -147,9 +148,24 @@ class TestSubgroupClasses:
             assert len(all_subgroups(resolve_group(name))) == count, name
 
     def test_minimal_generators_regenerate(self):
-        for H in all_subgroups(resolve_group("S4")):
-            gens = minimal_generating_set(H)
-            assert generate_group(gens, 4) == H
+        s4_subgroups = subgroups_oracle(resolve_group("S4"))
+        assert len(s4_subgroups) == 30
+        for name in PRESETS:
+            G = resolve_group(name)
+            subs = all_subgroups(G)
+            inside = {K for K in s4_subgroups if K <= frozenset(G.elements)}
+            assert {frozenset(H.elements) for H in subs} == inside, name
+            assert len(subs) == len(inside), name
+            for H in subs:
+                gens = minimal_generating_set(H)
+                assert H.generators == gens == minimal_generators_oracle(H)
+                assert generate_group(gens, 4) == H
+
+    def test_degree_above_four_is_refused(self):
+        # <(12),(34),(56)> needs three generators; a pair walk would miss it.
+        gens = [parse_permutation(text, 6) for text in ("(12)", "(34)", "(56)")]
+        with pytest.raises(ValueError):
+            all_subgroups(generate_group(gens, 6))
 
     def test_labels(self):
         G = resolve_group("V")
