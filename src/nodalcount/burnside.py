@@ -291,7 +291,7 @@ def decompose(S: ConcreteGSet) -> BurnsideElement:
     for orbit in S.orbits():
         x = orbit[0]
         stab_elems = [g for g in G.elements if S.act(g, x) == x]
-        stab = PermGroup(G.degree, stab_elems)
+        stab = PermGroup(stab_elems)
         if len(orbit) * stab.order != G.order:
             raise ValueError("orbit-stabilizer identity fails; invalid action")
         coeffs[class_index_of(G, stab)] += 1

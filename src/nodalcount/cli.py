@@ -85,18 +85,18 @@ def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
             continue
         count = int(mult) if mult else 1
         if gens_text is None:
-            subgroup = generate_group([], 4)
+            subgroup = generate_group([])
         else:
             try:
                 gens = [
-                    parse_permutation(f"({body})", 4)
+                    parse_permutation(f"({body})")
                     for body in re.findall(r"\(([^()]*)\)", gens_text)
                 ]
                 if not re.fullmatch(r"\s*(\([^()]*\)\s*,?\s*)+", gens_text):
                     raise ValueError(f"cannot parse generators {gens_text!r}")
             except ValueError as exc:
                 raise CliError(str(exc)) from None
-            subgroup = generate_group(gens, 4)
+            subgroup = generate_group(gens)
         if not subgroup.is_subgroup_of(G):
             raise CliError(
                 f"term {term!r} names a subgroup that does not lie in the group"

@@ -280,9 +280,14 @@ def field_sqrt(x: QuadExt) -> QuadExt:
 
 
 def _rational_sqrt(q: Fraction):
-    """Rational square root of q, or None."""
-    root = field_sqrt(QuadExt(q))
-    return root.a if root.is_rational() else None
+    """The non-negative square root of q, or None: in lowest terms, q is a
+    rational square exactly when its numerator and denominator are squares."""
+    if q < 0:
+        return None
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +929,6 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
 # -- dihedral group of order 8 on P^2 ---------------------------------------
 
 
-def _perm4(text: str) -> Permutation:
-    return parse_permutation(text, 4)
-
-
 # The D8-invariant conics the nine dihedral pencils are spanned from, as
 # coefficients on (x^2, y^2, z^2, yz, xz, xy).
 _D8_CONICS = {
@@ -951,9 +952,9 @@ def d8_representation(a: int, b: int):
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
-    four_cycle = _perm4("(1234)")
-    flip = _perm4("(13)")
-    G = generate_group([four_cycle, flip], 4)
+    four_cycle = parse_permutation("(1234)")
+    flip = parse_permutation("(13)")
+    G = generate_group([four_cycle, flip])
     rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, a]])
     reflection = mat([[1, 0, 0], [0, -1, 0], [0, 0, b]])
     rep = _hom_from_generators(G, {four_cycle: rotation, flip: reflection})
@@ -970,8 +971,8 @@ def d8_invariant_structure(a: int, b: int) -> dict:
     containing no invariant line.
     """
     G, rep = d8_representation(a, b)
-    S_rot = sym2(rep[_perm4("(1234)")])
-    S_ref = sym2(rep[_perm4("(13)")])
+    S_rot = sym2(rep[parse_permutation("(1234)")])
+    S_ref = sym2(rep[parse_permutation("(13)")])
 
     def eigen_rows(S, eigenvalue):
         return [
@@ -1050,8 +1051,8 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices."""
-    double_a, double_b = _perm4("(12)(34)"), _perm4("(13)(24)")
-    G = generate_group([double_a, double_b], 4)
+    double_a, double_b = parse_permutation("(12)(34)"), parse_permutation("(13)(24)")
+    G = generate_group([double_a, double_b])
     rep = _hom_from_generators(G, {
         double_a: mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
         double_b: mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),

@@ -12,6 +12,7 @@ not assumed: the verifier prints the full fixed-point table either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Mapping, Sequence
 
 from .burnside import (
@@ -104,9 +105,6 @@ class SigmaConfig:
         """Build from an explicit homomorphism G -> S4, validating it."""
         if set(point_action) != set(G.elements):
             raise ValueError("point action must be defined on every group element")
-        for perm in point_action.values():
-            if perm.degree != 4:
-                raise ValueError("point action must land in S4")
         for g in G.elements:
             for h in G.elements:
                 if point_action[g * h] != point_action[g] * point_action[h]:
@@ -193,32 +191,15 @@ def enumerate_sigma_configs(G: PermGroup) -> list:
     deterministic and presentation independent.
     """
     classes = subgroup_classes(G)
-    usable = [
-        (cls.class_index, G.order // cls.representative.order)
-        for cls in classes
-        if G.order // cls.representative.order <= 4
+    sizes = [G.order // cls.representative.order for cls in classes]
+    indices = range(len(classes))
+    multisets = [
+        m
+        for count in range(1, 5)
+        for m in combinations_with_replacement(indices, count)
+        if sum(sizes[idx] for idx in m) == 4
     ]
-
-    multisets = []
-
-    def extend(start: int, remaining: int, chosen: tuple) -> None:
-        if remaining == 0:
-            multisets.append(chosen)
-            return
-        for pos in range(start, len(usable)):
-            idx, size = usable[pos]
-            if size <= remaining:
-                extend(pos, remaining - size, chosen + (idx,))
-
-    extend(0, 4, ())
-
-    def coeff_vector(multiset: tuple) -> tuple:
-        vec = [0] * len(classes)
-        for idx in multiset:
-            vec[idx] += 1
-        return tuple(vec)
-
-    multisets.sort(key=coeff_vector)
+    multisets.sort(key=lambda m: tuple(m.count(idx) for idx in indices))
     return [sigma_from_classes(G, m) for m in multisets]
 
 
@@ -256,21 +237,19 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
     """Orbit-by-orbit weights: inflate([branches] - {*}) from each stabilizer.
 
     The representative is the lexicographically least pairing of its
-    orbit; the branch set is the two blocks of the representative as a
-    set acted on by the stabilizer.
+    orbit: ALL_PAIRINGS is sorted, so the first pairing not in an orbit
+    already seen is the least of its own.  The branch set is the two
+    blocks of the representative as a set acted on by the stabilizer.
     """
     G = sigma.ambient
     act = pairing_action(sigma)
     reports = []
     done: set = set()
-    for start in ALL_PAIRINGS:
-        if start in done:
+    for rep in ALL_PAIRINGS:
+        if rep in done:
             continue
-        orbit, stab = orbit_and_stabilizer(G, act, start)
+        orbit, stab = orbit_and_stabilizer(G, act, rep)
         done.update(orbit)
-        rep = min(orbit)
-        if rep != start:
-            orbit, stab = orbit_and_stabilizer(G, act, rep)
 
         def act_on_block(h: Permutation, block: tuple) -> tuple:
             perm = sigma.point_action[h]

@@ -1,12 +1,12 @@
-"""Finite permutation groups on a small number of points.
+"""Subgroups of S4, the symmetric group on the four base points.
 
-Everything here is exact and exhaustive: a group is its full, sorted
-element list, built by one breadth-first walk over generator edges
-(``_close``).  Subgroups are enumerated for degree <= 4 only, where
-every subgroup is generated by at most two elements, so the closures
-of all element pairs reach each one.  Conjugacy classes of subgroups
-receive a canonical order so that integer vectors indexed by them mean
-the same thing in every run.
+Every group here permutes the four base points of a pencil, so it is a
+subgroup of S4.  Everything is exact and exhaustive: a group is its
+full, sorted element list, built by one breadth-first walk over
+generator edges (``_close``).  Every subgroup of S4 is generated by at
+most two elements, so the closures of all element pairs reach each one.
+Conjugacy classes of subgroups receive a canonical order so that
+integer vectors indexed by them mean the same thing in every run.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ class InvalidActionError(ValueError):
     """A claimed group action failed the identity or compatibility axiom."""
 
 
+_POINTS = [0, 1, 2, 3]
+
+
 class Permutation:
-    """A permutation of {0, ..., degree-1} stored as a tuple of images.
+    """A permutation of the four points {0, 1, 2, 3} stored as a tuple of images.
 
     Composition applies the right factor first: ``(p * q)(i) == p(q(i))``,
     so products read the same way as function composition and left
@@ -51,29 +54,25 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]) -> None:
         imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError(f"not a bijection on 0..{len(imgs) - 1}: {imgs!r}")
+        if sorted(imgs) != _POINTS:
+            raise ValueError(f"not a bijection on 0..3: {imgs!r}")
         self.images = imgs
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+    @classmethod
+    def identity(cls) -> "Permutation":
+        return cls(_POINTS)
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[Sequence[int]], degree: int) -> "Permutation":
+    def from_cycles(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
         """Build a permutation from 0-based cycles, rightmost cycle applied first."""
-        result = cls.identity(degree)
+        result = cls.identity()
         for cycle in cycles:
             if len(set(cycle)) != len(cycle):
                 raise ValueError(f"repeated point in cycle {cycle!r}")
-            imgs = list(range(degree))
+            imgs = list(_POINTS)
             for i, point in enumerate(cycle):
-                if not 0 <= point < degree:
-                    raise ValueError(f"point {point} out of range for degree {degree}")
+                if not 0 <= point < 4:
+                    raise ValueError(f"point {point} out of range for degree 4")
                 imgs[point] = cycle[(i + 1) % len(cycle)]
             result = result * cls(imgs)
         return result
@@ -84,12 +83,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        if other.degree != self.degree:
-            raise ValueError("cannot compose permutations of different degree")
         return Permutation(self.images[j] for j in other.images)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
+        inv = [0] * 4
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(inv)
@@ -98,10 +95,10 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
-        """Render in cycle notation; compact ("(12)(34)") for degree <= 9."""
+        """Render in compact cycle notation, such as "(12)(34)"."""
         cycles = []
         seen = set()
-        for start in range(self.degree):
+        for start in _POINTS:
             if start in seen or self.images[start] == start:
                 seen.add(start)
                 continue
@@ -115,9 +112,8 @@ class Permutation:
             cycles.append(cycle)
         if not cycles:
             return "()"
-        sep = "" if self.degree <= 9 else " "
         return "".join(
-            "(" + sep.join(str(p + 1) for p in cycle) + ")" for cycle in cycles
+            "(" + "".join(str(p + 1) for p in cycle) + ")" for cycle in cycles
         )
 
     def __eq__(self, other: object) -> bool:
@@ -133,18 +129,17 @@ class Permutation:
         return self.images <= other.images
 
     def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
+        return f"Permutation({self.cycle_string()!r})"
 
 
 _CYCLE_BODY = re.compile(r"\(([^()]*)\)")
 
 
-def parse_permutation(text: str, degree: int) -> Permutation:
+def parse_permutation(text: str) -> Permutation:
     """Parse cycle notation; "(1 2)(3 4)" and compact "(12)(34)" both work.
 
-    Points are 1-based on the way in.  The identity is "()" or an empty
-    string of cycles.  Compact digit runs are only unambiguous for
-    degree <= 9, which is all this package supports at the boundary.
+    Points are 1-based on the way in, so each is one of 1, 2, 3, 4.  The
+    identity is "()" or an empty string of cycles.
     """
     stray = _CYCLE_BODY.sub("", text).strip()
     if stray:
@@ -165,16 +160,14 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             if not tok.isdigit():
                 raise ValueError(f"cannot parse cycle ({body})")
             point = int(tok) - 1
-            if not 0 <= point < degree:
-                raise ValueError(
-                    f"point {tok} out of range in {text!r} for degree {degree}"
-                )
+            if not 0 <= point < 4:
+                raise ValueError(f"point {tok} out of range in {text!r} for degree 4")
             points.append(point)
         cycles.append(points)
-    return Permutation.from_cycles(cycles, degree)
+    return Permutation.from_cycles(cycles)
 
 
-def _close(gens: Sequence[Permutation], degree: int) -> frozenset:
+def _close(gens: Sequence[Permutation]) -> frozenset:
     """The group generated by gens, by a breadth-first walk over generator edges.
 
     Starting at the identity, every element found is right-multiplied by
@@ -182,7 +175,7 @@ def _close(gens: Sequence[Permutation], degree: int) -> frozenset:
     element is a positive word in the generators, so this reaches the
     whole group with |<gens>| * |gens| products.
     """
-    identity = Permutation.identity(degree)
+    identity = Permutation.identity()
     elems = {identity}
     queue = [identity]
     for x in queue:
@@ -195,7 +188,7 @@ def _close(gens: Sequence[Permutation], degree: int) -> frozenset:
 
 
 class PermGroup:
-    """A finite permutation group given by its complete element list.
+    """A subgroup of S4 given by its complete element list.
 
     Elements are kept sorted (image-tuple order) for cheap equality,
     hashing and canonical orderings.  Construction trusts the caller to
@@ -203,15 +196,11 @@ class PermGroup:
     the tuple it was closed from, or (); geometry proves invariance on it.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_set")
+    __slots__ = ("elements", "generators", "_set")
 
     def __init__(
-        self,
-        degree: int,
-        elements: Iterable[Permutation],
-        generators: Iterable[Permutation] = (),
+        self, elements: Iterable[Permutation], generators: Iterable[Permutation] = ()
     ) -> None:
-        self.degree = degree
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators)
         self._set = frozenset(self.elements)
@@ -223,7 +212,7 @@ class PermGroup:
         return len(self.elements)
 
     def identity_element(self) -> Permutation:
-        return Permutation.identity(self.degree)
+        return Permutation.identity()
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._set
@@ -235,14 +224,10 @@ class PermGroup:
         return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
+        return isinstance(other, PermGroup) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash(self.elements)
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, {subgroup_label(self)})"
@@ -259,12 +244,11 @@ class PermGroup:
                     raise ValueError(f"product {a}*{b} escapes the element set")
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._set <= other._set
+        return self._set <= other._set
 
     def conjugated_by(self, g: Permutation) -> "PermGroup":
         ginv = g.inverse()
         return PermGroup(
-            self.degree,
             (g * h * ginv for h in self.elements),
             tuple(g * h * ginv for h in self.generators),
         )
@@ -284,15 +268,10 @@ class PermGroup:
         return tuple(cosets)
 
 
-def generate_group(generators: Iterable[Permutation], degree: int) -> PermGroup:
+def generate_group(generators: Iterable[Permutation]) -> PermGroup:
     """Close a generator list into a PermGroup with deterministic element order."""
     gens = tuple(generators)
-    for p in gens:
-        if p.degree != degree:
-            raise ValueError(
-                f"generator degree mismatch: {p!r} has degree {p.degree}, expected {degree}"
-            )
-    return PermGroup(degree, _close(gens, degree), gens)
+    return PermGroup(_close(gens), gens)
 
 
 @lru_cache(maxsize=None)
@@ -304,16 +283,13 @@ def all_subgroups(G: PermGroup) -> tuple:
     them all.  The walk goes by tuple size, then in ``combinations``
     order, and each subgroup keeps the first tuple that closes to it:
     its smallest generating set that comes first lexicographically.
-    Degree > 4 is refused, since <(12),(34),(56)> needs three generators.
     """
-    if G.degree > 4:
-        raise ValueError(f"subgroups are enumerated for degree <= 4, not {G.degree}")
     others = [p for p in G.elements if not p.is_identity()]
     found = {}
     for size in range(3):
         for gens in combinations(others, size):
-            found.setdefault(_close(gens, G.degree), gens)
-    groups = [PermGroup(G.degree, fs, gens) for fs, gens in found.items()]
+            found.setdefault(_close(gens), gens)
+    groups = [PermGroup(fs, gens) for fs, gens in found.items()]
     groups.sort(key=lambda H: (H.order, H.elements))
     return tuple(groups)
 
@@ -428,8 +404,8 @@ def orbit_and_stabilizer(G: PermGroup, action: Callable, x) -> tuple:
                 orbit.append(q)
     _verify_action(G, action, orbit)
     stab_elems = [g for g in G.elements if action(g, x) == x]
-    stab = PermGroup(G.degree, stab_elems)
-    stab = PermGroup(G.degree, stab_elems, minimal_generating_set(stab))
+    stab = PermGroup(stab_elems)
+    stab = PermGroup(stab_elems, minimal_generating_set(stab))
     if len(orbit) * stab.order != G.order:
         raise InvalidActionError("orbit-stabilizer identity fails; action is broken")
     return tuple(orbit), stab

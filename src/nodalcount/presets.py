@@ -46,6 +46,6 @@ def resolve_group(name: str) -> PermGroup:
     if key not in PRESETS:
         known = ", ".join(sorted(list(PRESETS) + list(ALIASES)))
         raise KeyError(f"unknown group preset {name!r}; known presets: {known}")
-    gens = [parse_permutation(text, 4) for text in PRESETS[key]]
-    return generate_group(gens, 4)
+    gens = [parse_permutation(text) for text in PRESETS[key]]
+    return generate_group(gens)
 

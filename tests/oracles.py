@@ -64,9 +64,9 @@ def disjoint_union_gset(S: ConcreteGSet, T: ConcreteGSet) -> ConcreteGSet:
     return ConcreteGSet(S.ambient, points, act)
 
 
-def closure_oracle(elements, degree: int) -> frozenset:
+def closure_oracle(elements) -> frozenset:
     """The set grown from the identity and elements by all pairwise products until stable."""
-    group = {Permutation.identity(degree), *elements}
+    group = {Permutation.identity(), *elements}
     while True:
         grown = group | {a * b for a in group for b in group}
         if grown == group:
@@ -80,12 +80,12 @@ def subgroups_oracle(G: PermGroup) -> set:
     Every subgroup is reached from the trivial one this way, whatever the
     number of generators it needs.
     """
-    found = {closure_oracle((), G.degree)}
+    found = {closure_oracle(())}
     queue = list(found)
     for H in queue:
         for g in G.elements:
             if g not in H:
-                K = closure_oracle(H | {g}, G.degree)
+                K = closure_oracle(H | {g})
                 if K not in found:
                     found.add(K)
                     queue.append(K)
@@ -99,5 +99,5 @@ def minimal_generators_oracle(H: PermGroup) -> tuple:
     target = frozenset(H.elements)
     for size in range(len(others) + 1):
         for gens in combinations(others, size):
-            if closure_oracle(gens, H.degree) == target:
+            if closure_oracle(gens) == target:
                 return gens

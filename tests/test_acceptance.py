@@ -79,11 +79,11 @@ import random
 
 
 def perm(text):
-    return parse_permutation(text, 4)
+    return parse_permutation(text)
 
 
 def subgroup(G, *gens):
-    return generate_group([perm(t) for t in gens], 4)
+    return generate_group([perm(t) for t in gens])
 
 
 def check(criterion: str, description: str, ok: bool, detail: str = ""):
@@ -220,7 +220,7 @@ def test_criterion_2_vprime_matches_golden():
 def test_criterion_3_z2_golden_values():
     G = resolve_group("Z2")
     point = BurnsideElement.point(G)
-    free = BurnsideElement.from_subgroup(G, generate_group([], 4))
+    free = BurnsideElement.from_subgroup(G, generate_group([]))
     expected_by_sigma = {
         (4 * point).coeffs: 3 * point,  # [Sigma] = 4 fixed points
         (2 * free).coeffs: 2 * free - point,  # [Sigma] = two free orbits
@@ -257,7 +257,7 @@ def test_criterion_4_a4_table():
     klein = subgroup(G, "(12)(34)", "(13)(24)")
     double = subgroup(G, "(12)(34)")
     expected_rows = {
-        class_index_of(G, generate_group([], 4)): 3,
+        class_index_of(G, generate_group([])): 3,
         class_index_of(G, double): -1,
         class_index_of(G, klein): -1,
         class_index_of(G, a3): 0,
@@ -478,7 +478,7 @@ def test_criterion_7b_ten_row_table():
     # vectors: (13) and (24) get LHS 1 and -1, and (12)(34) and (14)(23)
     # get RHS -1 and 3, though both pairs are conjugate by (1234).
     subgroups = {
-        "()": generate_group([], 4),
+        "()": generate_group([]),
         "(13),(24)": subgroup(G, "(13)", "(24)"),
         "(12)(34),(14)(23)": subgroup(G, "(12)(34)", "(14)(23)"),
         "(1234)": subgroup(G, "(1234)"),
@@ -642,7 +642,7 @@ def test_criterion_9_weight_well_definedness():
             for report in nodal_orbit_reports(sigma):
                 for other in report.orbit:
                     stab_elems = [g for g in G.elements if act(g, other) == other]
-                    stab = generate_group(stab_elems, 4)
+                    stab = generate_group(stab_elems)
                     branch = ConcreteGSet(
                         stab,
                         other.blocks,

@@ -24,11 +24,11 @@ from oracles import disjoint_union_gset, inflate_concrete, product_gset
 
 
 def perm(text):
-    return parse_permutation(text, 4)
+    return parse_permutation(text)
 
 
 def subgroup(G, *gens):
-    return generate_group([perm(t) for t in gens], 4)
+    return generate_group([perm(t) for t in gens])
 
 
 def coset_gset(G, H):
@@ -313,7 +313,7 @@ class TestDecompose:
     def test_regular_klein_orbit(self):
         G = resolve_group("V")
         S = ConcreteGSet(G, G.elements, lambda g, x: g * x)
-        assert decompose(S) == BurnsideElement.from_subgroup(G, generate_group([], 4))
+        assert decompose(S) == BurnsideElement.from_subgroup(G, generate_group([]))
 
     def test_marks_equal_literal_fixed_points(self):
         G = resolve_group("D8")
@@ -407,7 +407,7 @@ def test_product_decomposition_oracle():
 class TestInflate:
     def test_point_from_trivial_subgroup_is_regular(self):
         G = resolve_group("S3")
-        triv = generate_group([], 4)
+        triv = generate_group([])
         x = BurnsideElement.point(triv)
         assert inflate(G, triv, x) == BurnsideElement.from_subgroup(G, triv)
 
@@ -419,7 +419,7 @@ class TestInflate:
     def test_a4_weight_formula(self):
         G = resolve_group("A4")
         klein = subgroup(G, "(12)(34)", "(13)(24)")
-        flip_in_klein = generate_group([perm("(14)(23)")], 4)
+        flip_in_klein = generate_group([perm("(14)(23)")])
         x = BurnsideElement.from_subgroup(
             klein, flip_in_klein
         ) - BurnsideElement.point(klein)

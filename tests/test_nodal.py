@@ -26,11 +26,11 @@ from oracles import inflate_concrete
 
 
 def perm(text):
-    return parse_permutation(text, 4)
+    return parse_permutation(text)
 
 
 def subgroup(G, *gens):
-    return generate_group([perm(t) for t in gens], 4)
+    return generate_group([perm(t) for t in gens])
 
 
 def config_by_classes(G, multiset):
@@ -154,6 +154,18 @@ class TestEnumerate:
                         == config.point_action[g] * config.point_action[h]
                     )
 
+    def test_from_action_rejects_a_broken_map(self):
+        G = resolve_group("D8")
+        natural = {g: g for g in G.elements}
+        SigmaConfig.from_action(G, natural)
+        half_turn = perm("(13)(24)")
+        assert half_turn in G and half_turn not in G.generators
+        with pytest.raises(ValueError):
+            SigmaConfig.from_action(G, {**natural, half_turn: perm("(12)(34)")})
+        del natural[half_turn]
+        with pytest.raises(ValueError):
+            SigmaConfig.from_action(G, natural)
+
 
 class TestPairingAction:
     def test_z2_mixed_pairings_swap(self):
@@ -196,7 +208,7 @@ class TestNodalOrbits:
         reports = nodal_orbit_reports(sigma)
         weights = {len(r.orbit): r.weight for r in reports}
         assert weights[1] == BurnsideElement.point(G)
-        assert weights[2] == BurnsideElement.from_subgroup(G, generate_group([], 4))
+        assert weights[2] == BurnsideElement.from_subgroup(G, generate_group([]))
 
     def test_trivial_group_three_orbits(self):
         G = resolve_group("trivial")
@@ -223,6 +235,8 @@ class TestNodalOrbits:
         assert report.weight == expected
 
     def test_orbit_times_stabilizer(self):
+        # nodal_orbit_reports takes the first unseen pairing as the least of its orbit.
+        assert list(ALL_PAIRINGS) == sorted(ALL_PAIRINGS)
         for name in PRESET_ORDER:
             G = resolve_group(name)
             for sigma in enumerate_sigma_configs(G):
@@ -267,7 +281,7 @@ class TestVerify:
     def test_z2_golden_left_hand_sides(self):
         G = resolve_group("Z2")
         point = BurnsideElement.point(G)
-        free = BurnsideElement.from_subgroup(G, generate_group([], 4))
+        free = BurnsideElement.from_subgroup(G, generate_group([]))
         expected = {
             (1, 1, 1, 1): 3 * point,
             (0, 0): 2 * free - point,
@@ -314,7 +328,7 @@ class TestInvariants:
                         stab_elems = [
                             g for g in G.elements if act(g, other) == other
                         ]
-                        stab = generate_group(stab_elems, 4)
+                        stab = generate_group(stab_elems)
                         blocks = other.blocks
                         branch = ConcreteGSet(
                             stab,
