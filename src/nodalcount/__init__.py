@@ -23,7 +23,6 @@ from .geometry import (
     base_locus,
     collinear,
     d8_case_suite,
-    d8_invariant_structure,
     d8_representation,
     factor_degenerate,
     field_sqrt,

@@ -176,13 +176,6 @@ class BurnsideElement:
             sum(self.coeffs[h] * M[h][k] for h in range(n)) for k in range(n)
         )
 
-    def cardinality(self) -> int:
-        """Mark at the trivial subgroup, i.e. the virtual number of elements."""
-        return self.mark(0)
-
-    def is_genuine(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
-
     # -- presentation ---------------------------------------------------
 
     def render(self) -> str:

@@ -1,7 +1,8 @@
 """Exact projective geometry over Q and quadratic extensions Q(sqrt(m)).
 
-Numbers are a + b*sqrt(m) with rational a, b and a fixed squarefree
-integer radicand m (possibly negative); pure rationals carry no radicand.
+Numbers are a + b*sqrt(m) with rational a, b and a fixed integer
+radicand m that is not a perfect square (possibly negative); pure
+rationals carry no radicand.
 Arithmetic never leaves the field silently: combining incompatible
 radicands raises, and square roots either stay in the working field,
 adjoin the one allowed radical, or fail loudly.  On top of that sit
@@ -46,7 +47,6 @@ __all__ = [
     "PencilAnalysis",
     "analyze_pencil",
     "d8_representation",
-    "d8_invariant_structure",
     "d8_case_suite",
     "klein_representation",
     "klein_counterexample",
@@ -69,29 +69,12 @@ class IrrationalNodalParameter(ValueError):
     """The determinant cubic does not split over the rationals."""
 
 
-def _squarefree_decomposition(n: int):
-    """n = s^2 * m with m squarefree (sign kept on m); returns (s, m)."""
-    if n == 0:
-        return 0, 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s, m = 1, 1
-    d = 2
-    while d * d <= n:
-        exp = 0
-        while n % d == 0:
-            n //= d
-            exp += 1
-        s *= d ** (exp // 2)
-        if exp % 2:
-            m *= d
-        d += 1
-    m *= n
-    return s, sign * m
-
-
 class QuadExt:
-    """An element a + b*sqrt(radicand) of Q or of one quadratic extension."""
+    """An element a + b*sqrt(radicand) of Q or of one quadratic extension.
+
+    The radicand is any integer that is not a perfect square.  It need not
+    be squarefree, so checking it takes one isqrt, not a factorization.
+    """
 
     __slots__ = ("a", "b", "radicand")
 
@@ -103,11 +86,8 @@ class QuadExt:
         elif radicand is None:
             raise ValueError("a radical part needs a radicand")
         else:
-            if radicand in (0, 1):
-                raise ValueError(f"radicand {radicand} is not a valid extension")
-            _, squarefree = _squarefree_decomposition(radicand)
-            if squarefree != radicand:
-                raise ValueError(f"radicand {radicand} is not squarefree")
+            if _rational_sqrt(radicand) is not None:
+                raise ValueError(f"radicand {radicand} is a perfect square")
         self.a = a
         self.b = b
         self.radicand = radicand
@@ -177,7 +157,7 @@ class QuadExt:
         if self.radicand is None:
             return QuadExt(1 / self.a)
         norm = self.a * self.a - self.b * self.b * self.radicand
-        # Squarefree non-square radicand: the norm of a nonzero element is nonzero.
+        # Non-square radicand: the norm of a nonzero element is nonzero.
         return QuadExt(self.a / norm, -self.b / norm, self.radicand)
 
     def __truediv__(self, other):
@@ -248,7 +228,8 @@ def field_sqrt(x: QuadExt) -> QuadExt:
     """Exact square root, extending Q by at most one radicand.
 
     For rational x: a rational square root if one exists, otherwise the
-    squarefree radicand is split off and the result lives in Q(sqrt(m)).
+    result lives in Q(sqrt(m)), m the numerator times the denominator with
+    small square factors moved out, for display only (``_strip_squares``).
     For x already in Q(sqrt(m)): the root is found inside the same field
     or FieldExtensionError is raised (a tower would be needed).
     """
@@ -256,13 +237,11 @@ def field_sqrt(x: QuadExt) -> QuadExt:
     if x.is_zero():
         return QuadExt(0)
     if x.is_rational():
-        q = x.a
-        scaled = q.numerator * q.denominator
-        s, m = _squarefree_decomposition(scaled)
-        root = Fraction(s, q.denominator)
-        if m == 1:
+        root = _rational_sqrt(x.a)
+        if root is not None:
             return QuadExt(root)
-        return QuadExt(0, root, m)
+        s, m = _strip_squares(x.a.numerator * x.a.denominator)
+        return QuadExt(0, Fraction(s, x.a.denominator), m)
     # Solve (u + v sqrt(m))^2 = a + b sqrt(m): u^2 + m v^2 = a, 2uv = b.
     m = x.radicand
     disc = x.a * x.a - m * x.b * x.b
@@ -279,7 +258,28 @@ def field_sqrt(x: QuadExt) -> QuadExt:
     )
 
 
-def _rational_sqrt(q: Fraction):
+def _strip_squares(n: int):
+    """n = s^2 * m, returns (s, m) with the sign kept on m.  Only squares of
+    divisors below 2^16 are moved into s, so m is squarefree when |n| < 2^32
+    and may keep a large square factor above that."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s, m = 1, 1
+    d = 2
+    while d * d <= n and d < 1 << 16:
+        exp = 0
+        while n % d == 0:
+            n //= d
+            exp += 1
+        s *= d ** (exp // 2)
+        if exp % 2:
+            m *= d
+        d += 1
+    m *= n
+    return s, sign * m
+
+
+def _rational_sqrt(q: Fraction | int):
     """The non-negative square root of q, or None: in lowest terms, q is a
     rational square exactly when its numerator and denominator are squares."""
     if q < 0:
@@ -399,12 +399,6 @@ def kernel_basis(rows: Sequence[Vec], width: int):
             v[p] = -reduced[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def span_equal(rows_a: Sequence[Vec], rows_b: Sequence[Vec]) -> bool:
-    ra, _ = rref(rows_a)
-    rb, _ = rref(rows_b)
-    return ra == rb
 
 
 # ---------------------------------------------------------------------------
@@ -959,52 +953,6 @@ def d8_representation(a: int, b: int):
     reflection = mat([[1, 0, 0], [0, -1, 0], [0, 0, b]])
     rep = _hom_from_generators(G, {four_cycle: rotation, flip: reflection})
     return G, rep
-
-
-def d8_invariant_structure(a: int, b: int) -> dict:
-    """Common invariant subspaces of the induced action on conic space.
-
-    Eigen-kernels of sym2 of the two generator matrices are intersected
-    for eigenvalue pairs in {1,-1}^2.  The result, for every sign choice:
-    a 2-dimensional common eigenspace spanned by z^2 and x^2+y^2, the
-    lines x^2-y^2 and xy, and a residual invariant plane span{yz, xz}
-    containing no invariant line.
-    """
-    G, rep = d8_representation(a, b)
-    S_rot = sym2(rep[parse_permutation("(1234)")])
-    S_ref = sym2(rep[parse_permutation("(13)")])
-
-    def eigen_rows(S, eigenvalue):
-        return [
-            tuple(S[i][j] - (qe(eigenvalue) if i == j else ZERO) for j in range(6))
-            for i in range(6)
-        ]
-
-    intersections = {}
-    for lam in (1, -1):
-        rows_rot = eigen_rows(S_rot, lam)
-        for mu in (1, -1):
-            rows = rows_rot + eigen_rows(S_ref, mu)
-            intersections[(lam, mu)] = kernel_basis(rows, 6)
-
-    basis = {name: vec(v) for name, v in _D8_CONICS.items()}
-    checks = (
-        span_equal(intersections[(1, 1)], [basis["Z^2"], basis["X^2+Y^2"]]),
-        span_equal(intersections[(-1, 1)], [basis["X^2-Y^2"]]),
-        span_equal(intersections[(-1, -1)], [basis["XY"]]),
-        intersections[(1, -1)] == [],
-    )
-    if not all(checks):
-        raise ArithmeticError("invariant subspace structure is not the expected one")
-    plane = [basis["YZ"], basis["XZ"]]
-    for S in (S_rot, S_ref):
-        if rank(plane + [mat_vec(S, v) for v in plane]) != 2:
-            raise ArithmeticError("span{yz, xz} is not invariant")
-    return {
-        "lines": {name: basis[name] for name in ("Z^2", "X^2+Y^2", "X^2-Y^2", "XY")},
-        "plane": tuple(plane),
-        "eigenspaces": intersections,
-    }
 
 
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:

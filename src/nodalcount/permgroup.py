@@ -232,26 +232,8 @@ class PermGroup:
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, {subgroup_label(self)})"
 
-    def validate(self) -> None:
-        """Check identity, closure and inverses; raises ValueError on failure."""
-        if self.identity_element() not in self:
-            raise ValueError("identity missing")
-        for a in self.elements:
-            if a.inverse() not in self:
-                raise ValueError(f"inverse of {a} missing")
-            for b in self.elements:
-                if a * b not in self:
-                    raise ValueError(f"product {a}*{b} escapes the element set")
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self._set <= other._set
-
-    def conjugated_by(self, g: Permutation) -> "PermGroup":
-        ginv = g.inverse()
-        return PermGroup(
-            (g * h * ginv for h in self.elements),
-            tuple(g * h * ginv for h in self.generators),
-        )
 
     def left_cosets(self, H: "PermGroup") -> tuple:
         """Left cosets g*H as sorted tuples, ordered by their minimal element."""

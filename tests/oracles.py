@@ -1,5 +1,7 @@
 """Test-only oracles: concrete G-set constructions checked against the ring,
-and brute-force subgroup searches checked against ``permgroup``.
+brute-force subgroup searches checked against ``permgroup``, the D8
+invariant-subspace structure the dihedral pencils are spanned from, and a
+deadline for checks that must not hang.
 
 Each G-set oracle builds a literal G-set, so ``decompose`` of it is an
 answer that the Burnside-ring formulas (``inflate``, products, sums) must
@@ -7,10 +9,44 @@ reproduce.  The subgroup oracles close sets under all pairwise products,
 not over generator edges, and assume no bound on the number of generators.
 """
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 from nodalcount.burnside import ConcreteGSet
-from nodalcount.permgroup import PermGroup, Permutation
+from nodalcount.geometry import (
+    _D8_CONICS,
+    ZERO,
+    d8_representation,
+    kernel_basis,
+    mat_vec,
+    qe,
+    rank,
+    rref,
+    sym2,
+    vec,
+)
+from nodalcount.permgroup import PermGroup, Permutation, parse_permutation
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block with TimeoutError once it has run for seconds.
+
+    SIGALRM interrupts the block between bytecodes, so a hang fails the
+    test instead of stalling the suite.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def inflate_concrete(G: PermGroup, H: PermGroup, S: ConcreteGSet) -> ConcreteGSet:
@@ -101,3 +137,54 @@ def minimal_generators_oracle(H: PermGroup) -> tuple:
         for gens in combinations(others, size):
             if closure_oracle(gens) == target:
                 return gens
+
+
+def span_equal(rows_a, rows_b) -> bool:
+    """Whether two lists of vectors span the same space."""
+    return rref(rows_a)[0] == rref(rows_b)[0]
+
+
+def d8_invariant_structure(a: int, b: int) -> dict:
+    """Common invariant subspaces of the D8 action on conic space, for signs a, b.
+
+    Eigen-kernels of sym2 of the two generator matrices are intersected
+    for eigenvalue pairs in {1,-1}^2.  The result, for every sign choice:
+    a 2-dimensional common eigenspace spanned by z^2 and x^2+y^2, the
+    lines x^2-y^2 and xy, and a residual invariant plane span{yz, xz}
+    containing no invariant line.  Raises ArithmeticError otherwise.
+    """
+    G, rep = d8_representation(a, b)
+    S_rot = sym2(rep[parse_permutation("(1234)")])
+    S_ref = sym2(rep[parse_permutation("(13)")])
+
+    def eigen_rows(S, eigenvalue):
+        return [
+            tuple(S[i][j] - (qe(eigenvalue) if i == j else ZERO) for j in range(6))
+            for i in range(6)
+        ]
+
+    intersections = {}
+    for lam in (1, -1):
+        rows_rot = eigen_rows(S_rot, lam)
+        for mu in (1, -1):
+            rows = rows_rot + eigen_rows(S_ref, mu)
+            intersections[(lam, mu)] = kernel_basis(rows, 6)
+
+    basis = {name: vec(v) for name, v in _D8_CONICS.items()}
+    checks = (
+        span_equal(intersections[(1, 1)], [basis["Z^2"], basis["X^2+Y^2"]]),
+        span_equal(intersections[(-1, 1)], [basis["X^2-Y^2"]]),
+        span_equal(intersections[(-1, -1)], [basis["XY"]]),
+        intersections[(1, -1)] == [],
+    )
+    if not all(checks):
+        raise ArithmeticError("invariant subspace structure is not the expected one")
+    plane = [basis["YZ"], basis["XZ"]]
+    for S in (S_rot, S_ref):
+        if rank(plane + [mat_vec(S, v) for v in plane]) != 2:
+            raise ArithmeticError("span{yz, xz} is not invariant")
+    return {
+        "lines": {name: basis[name] for name in ("Z^2", "X^2+Y^2", "X^2-Y^2", "XY")},
+        "plane": tuple(plane),
+        "eigenspaces": intersections,
+    }

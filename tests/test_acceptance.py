@@ -46,13 +46,11 @@ from nodalcount.geometry import (
     apply_matrix,
     collinear,
     d8_case_suite,
-    d8_invariant_structure,
     d8_representation,
     klein_counterexample,
     klein_representation,
     mat,
     pencil_through,
-    span_equal,
     sym2,
 )
 from nodalcount.nodal import (
@@ -73,7 +71,12 @@ from nodalcount.permgroup import (
     subgroup_label,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import inflate_concrete, product_gset
+from oracles import (
+    d8_invariant_structure,
+    inflate_concrete,
+    product_gset,
+    span_equal,
+)
 
 import random
 

@@ -123,7 +123,6 @@ class TestMarks:
             G, klein
         )
         assert x.mark(0) == 3
-        assert x.cardinality() == 3
 
     def test_foreign_class_rejected(self):
         G = resolve_group("Z2")
@@ -328,7 +327,7 @@ class TestDecompose:
         for H in all_subgroups(G):
             if G.order // H.order <= 6:
                 S = coset_gset(G, H)
-                assert decompose(S).cardinality() == len(S.points)
+                assert decompose(S).mark(0) == len(S.points)
 
     def test_disjoint_union_adds(self):
         G = resolve_group("S3")

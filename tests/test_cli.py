@@ -5,6 +5,7 @@ import pytest
 
 from nodalcount.cli import main, parse_sigma_spec
 from nodalcount.presets import resolve_group
+from oracles import deadline
 
 
 def run(capsys, *argv):
@@ -23,7 +24,7 @@ class TestSigmaSpecs:
     def test_fixed_points(self):
         G = resolve_group("trivial")
         sigma = parse_sigma_spec("4*", G)
-        assert sigma.decomposition.cardinality() == 4
+        assert sigma.decomposition.mark(0) == 4
 
     def test_free_orbit(self):
         G = resolve_group("V")
@@ -38,7 +39,7 @@ class TestSigmaSpecs:
     def test_subgroup_terms(self):
         G = resolve_group("S3")
         sigma = parse_sigma_spec("2*+[G/(123)]", G)
-        assert sigma.decomposition.cardinality() == 4
+        assert sigma.decomposition.mark(0) == 4
 
     def test_rejects_bad_sizes(self):
         G = resolve_group("Z2")
@@ -117,6 +118,15 @@ class TestCommands:
         code, out = run(capsys, "counterexample", "d8", "--c=-7/3", "--case", "8")
         assert code == 0
         assert "lambda*((-7/3)*X^2 + (-7/3)*Y^2 + Z^2)" in out
+
+    def test_counterexample_d8_large_c(self, capsys):
+        # c = 2^61 - 1: the field checks radicands with isqrt, not by factoring
+        with deadline(5):
+            code, out = run(
+                capsys, "counterexample", "d8", "--c", "2305843009213693951", "--case", "8"
+            )
+        assert code == 0
+        assert "equal: false" in out
 
     def test_counterexample_d8_case9(self, capsys):
         code, out = run(capsys, "counterexample", "d8", "--case", "9")
