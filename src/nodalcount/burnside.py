@@ -11,9 +11,8 @@ triangular table of marks by integer back-substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .permgroup import (
     PermGroup,
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TableOfMarks:
+class TableOfMarks(NamedTuple):
     """marks[h][k] = number of K_k-fixed cosets in G/H_h, classes in canonical order."""
 
     ambient: PermGroup
@@ -83,19 +81,30 @@ def _coeffs_from_marks(G: PermGroup, mark_vec: Sequence[int]) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
 class BurnsideElement:
     """A virtual G-set: integer coefficient per [G/H_i], H_i a subgroup class."""
 
-    ambient: PermGroup
-    coeffs: tuple
+    __slots__ = ("ambient", "coeffs")
 
-    def __post_init__(self):
-        expected = len(subgroup_classes(self.ambient))
-        if len(self.coeffs) != expected:
+    def __init__(self, ambient: PermGroup, coeffs: tuple) -> None:
+        expected = len(subgroup_classes(ambient))
+        if len(coeffs) != expected:
             raise ValueError(
-                f"coefficient vector has length {len(self.coeffs)}, expected {expected}"
+                f"coefficient vector has length {len(coeffs)}, expected {expected}"
             )
+        self.ambient = ambient
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BurnsideElement):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.ambient == other.ambient
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"BurnsideElement(ambient={self.ambient!r}, coeffs={self.coeffs!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -231,13 +240,15 @@ def be_equal(x: BurnsideElement, y: BurnsideElement):
     return (not witnesses), witnesses
 
 
-@dataclass(eq=False)
 class ConcreteGSet:
     """A finite set with an explicit G-action given as a callable (g, x) -> x."""
 
-    ambient: PermGroup
-    points: tuple
-    act: Callable
+    __slots__ = ("ambient", "points", "act")
+
+    def __init__(self, ambient: PermGroup, points: tuple, act: Callable) -> None:
+        self.ambient = ambient
+        self.points = points
+        self.act = act
 
     def validate(self) -> None:
         """Check the action axioms exhaustively (generator compatibility suffices)."""

@@ -4,13 +4,15 @@ Exit codes: 0 when every verified configuration is equal (or, for the
 counterexample commands, when the expected failure is observed and for
 theorem-sweep when the observed outcome matrix matches the packaged
 golden table); 1 for an unexpected result; 2 for invalid input or a
-computation outside the supported exact scope.
+computation outside the supported exact scope.  A reader that closes
+stdout early ends the command quietly, with its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -50,8 +52,17 @@ def _emit(args, text: str, payload: dict) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
-    else:
+        return
+    try:
         print(body)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is left of the report, and
+        # the flush at exit, go to the null device, so the command ends
+        # quietly with its own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _group(args):

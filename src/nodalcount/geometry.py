@@ -13,9 +13,8 @@ pencils, degenerate-member factorization and base loci.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .nodal import SigmaConfig
 from .permgroup import Permutation, PermGroup, generate_group, parse_permutation
@@ -690,8 +689,7 @@ def nodal_members(f: Conic, g: Conic) -> list:
     return members
 
 
-@dataclass(frozen=True)
-class DoubleLine:
+class DoubleLine(NamedTuple):
     """A rank-1 degenerate conic: one line squared."""
 
     line: Vec
@@ -875,8 +873,7 @@ def _hom_from_generators(
     return table
 
 
-@dataclass(frozen=True)
-class PencilCase:
+class PencilCase(NamedTuple):
     """A named invariant pencil: the two spanning conics plus the acting group."""
 
     label: str
@@ -886,8 +883,7 @@ class PencilCase:
     g: Conic
 
 
-@dataclass(frozen=True)
-class PencilAnalysis:
+class PencilAnalysis(NamedTuple):
     """Derived data of a general PencilCase."""
 
     members: tuple  # ((mu, lambda), Conic) triples of degenerate members

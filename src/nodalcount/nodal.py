@@ -11,9 +11,8 @@ not assumed: the verifier prints the full fixed-point table either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .burnside import (
     BurnsideElement,
@@ -47,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Pairing:
+class Pairing(NamedTuple):
     """A partition of {0,1,2,3} into two unordered blocks of two."""
 
     blocks: tuple
@@ -213,8 +211,7 @@ def pairing_action(sigma: SigmaConfig) -> Callable:
     return lambda g, pairing: table[(g, pairing)]
 
 
-@dataclass(frozen=True)
-class NodalOrbitReport:
+class NodalOrbitReport(NamedTuple):
     """One orbit of pairings with its stabilizer, branch set and weight."""
 
     representative: Pairing
@@ -264,8 +261,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
     return reports
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Side-by-side fixed-point comparison of the weighted orbit sum and [Sigma] - {*}."""
 
     group: PermGroup

@@ -12,10 +12,9 @@ integer vectors indexed by them mean the same thing in every run.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "InvalidActionError",
@@ -48,6 +47,11 @@ class Permutation:
     so products read the same way as function composition and left
     actions elsewhere in the package compose as ``(g*h) . x == g.(h.x)``.
     Cycle notation is 1-based and only appears at I/O boundaries.
+
+    The constructor checks that its images are a bijection; it is the
+    input boundary.  ``identity``, products and ``inverse`` are trusted:
+    a product or inverse of bijections is a bijection, so they build
+    their result without the check.
     """
 
     __slots__ = ("images",)
@@ -60,7 +64,7 @@ class Permutation:
 
     @classmethod
     def identity(cls) -> "Permutation":
-        return cls(_POINTS)
+        return _trusted((0, 1, 2, 3))
 
     @classmethod
     def from_cycles(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -83,13 +87,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if not isinstance(other, Permutation):
             return NotImplemented
-        return Permutation(self.images[j] for j in other.images)
+        return _trusted(tuple(self.images[j] for j in other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * 4
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -130,6 +134,13 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r})"
+
+
+def _trusted(images: tuple) -> Permutation:
+    """A Permutation of images already known to be a bijection, unchecked."""
+    p = object.__new__(Permutation)
+    p.images = images
+    return p
 
 
 _CYCLE_BODY = re.compile(r"\(([^()]*)\)")
@@ -281,8 +292,7 @@ def minimal_generating_set(G: PermGroup) -> tuple:
     return all_subgroups(G)[-1].generators
 
 
-@dataclass(frozen=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups: canonical representative plus all members."""
 
     representative: PermGroup

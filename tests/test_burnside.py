@@ -147,6 +147,30 @@ class TestMarks:
 # ---------------------------------------------------------------------------
 
 
+class TestRecord:
+    def test_wrong_length_rejected(self):
+        G = resolve_group("Z2")
+        for coeffs in [(), (1,), (1, 0, 0)]:
+            with pytest.raises(ValueError, match="expected 2"):
+                BurnsideElement(G, coeffs)
+
+    def test_equal_elements_hash_equal(self):
+        G = resolve_group("S3")
+        n = len(subgroup_classes(G))
+        x = BurnsideElement(G, tuple(range(n)))
+        y = BurnsideElement(G, tuple(range(n)))
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+        assert x != BurnsideElement(G, (0,) * n)
+        assert x != BurnsideElement(resolve_group("Z3"), (0, 1))
+        assert x != x.coeffs
+
+    def test_repr_names_both_fields(self):
+        x = BurnsideElement.point(resolve_group("Z2"))
+        assert repr(x) == f"BurnsideElement(ambient={x.ambient!r}, coeffs=(0, 1))"
+
+
 class TestEquality:
     def test_equal_iff_same_coefficients(self):
         rng = random.Random(20260808)

@@ -1,11 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nodalcount.cli import main, parse_sigma_spec
 from nodalcount.presets import resolve_group
 from oracles import deadline
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -156,6 +162,26 @@ class TestCommands:
         assert code == 0
         data = json.loads(target.read_text())
         assert data["equal"] is True
+
+
+def test_closed_stdout_ends_quietly():
+    # The read end of the pipe is closed before the command runs, so its
+    # first write fails with EPIPE: no traceback, and the command's own
+    # exit code (0 for marks).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodalcount", "marks", "--group", "S4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
 
 
 class TestJsonTextParity:

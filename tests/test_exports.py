@@ -1,6 +1,11 @@
-"""Every module's __all__ names only what the module defines."""
+"""Every module's __all__ names only what the module defines, and importing
+the package stays light."""
 
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +21,24 @@ MODULES = sorted(
 @pytest.mark.parametrize("name", MODULES)
 def test_star_import(name):
     exec(f"from nodalcount.{name} import *", {})
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # The records are NamedTuples and slotted classes, so a cold CLI start
+    # does not pay for dataclasses (which pulls in inspect, ast and dis).
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nodalcount, nodalcount.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

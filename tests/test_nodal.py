@@ -86,6 +86,9 @@ class TestPairing:
     def test_labels(self):
         assert [p.label() for p in ALL_PAIRINGS] == ["12|34", "13|24", "14|23"]
 
+    def test_sort_order_is_label_order(self):
+        assert sorted(reversed(ALL_PAIRINGS)) == list(ALL_PAIRINGS)
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             Pairing.of(0, 1, 2, 2)

@@ -61,6 +61,17 @@ class TestPermutation:
             with pytest.raises(ValueError):
                 Permutation(images)
 
+    def test_trusted_products_match_checked_construction(self):
+        # identity, products and inverses skip the bijection check; each
+        # must equal the checked constructor on the same images.
+        S4 = resolve_group("S4").elements
+        assert len(S4) == 24
+        assert Permutation.identity() == Permutation(range(4))
+        for p in S4:
+            assert p.inverse() == Permutation(sorted(range(4), key=p))
+            for q in S4:
+                assert p * q == Permutation(p(q(i)) for i in range(4))
+
 
 class TestGenerateGroup:
     def test_s3_embedded_in_four_points(self):
