@@ -59,6 +59,7 @@ from .permgroup import (
     parse_permutation,
     subgroup_classes,
     subgroup_label,
+    verify_action,
 )
 from .presets import PRESET_ORDER, resolve_group
 

@@ -16,10 +16,12 @@ from typing import Callable, NamedTuple, Sequence
 
 from .permgroup import (
     PermGroup,
+    Permutation,
     SubgroupClass,
     class_index_of,
     class_labels,
     minimal_generating_set,
+    orbit_and_stabilizer,
     subgroup_classes,
     subgroup_label,
 )
@@ -256,7 +258,7 @@ class ConcreteGSet:
         pointset = set(self.points)
         if len(pointset) != len(self.points):
             raise ValueError("duplicate points in a concrete G-set")
-        identity = G.identity_element()
+        identity = Permutation.identity()
         for p in self.points:
             if self.act(identity, p) != p:
                 raise ValueError(f"identity axiom fails at {p!r}")
@@ -273,32 +275,18 @@ class ConcreteGSet:
                             f"compatibility fails at ({g}, {h}, {p!r})"
                         )
 
-    def orbits(self):
-        remaining = list(self.points)
-        out = []
-        while remaining:
-            x = remaining[0]
-            orbit = sorted(
-                set(self.act(g, x) for g in self.ambient.elements),
-                key=self.points.index,
-            )
-            out.append(tuple(orbit))
-            remaining = [p for p in remaining if p not in set(orbit)]
-        return out
-
 
 def decompose(S: ConcreteGSet) -> BurnsideElement:
     """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i]."""
     S.validate()
     G = S.ambient
     coeffs = [0] * len(subgroup_classes(G))
-    for orbit in S.orbits():
-        x = orbit[0]
-        stab_elems = [g for g in G.elements if S.act(g, x) == x]
-        stab = PermGroup(stab_elems)
-        if len(orbit) * stab.order != G.order:
-            raise ValueError("orbit-stabilizer identity fails; invalid action")
-        coeffs[class_index_of(G, stab)] += 1
+    seen: set = set()
+    for x in S.points:
+        if x not in seen:
+            orbit, stab = orbit_and_stabilizer(G, S.act, x)
+            seen.update(orbit)
+            coeffs[class_index_of(G, stab)] += 1
     return BurnsideElement(G, tuple(coeffs))
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .nodal import SigmaConfig
-from .permgroup import Permutation, PermGroup, generate_group, parse_permutation
+from .permgroup import Permutation, PermGroup
+from .presets import resolve_group
 
 __all__ = [
     "QuadExt",
@@ -130,12 +131,6 @@ class QuadExt:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -165,12 +160,6 @@ class QuadExt:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -179,19 +168,21 @@ class QuadExt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.radicand)
+    def _value_key(self) -> tuple:
+        """a, the sign of b and b*b*radicand: one key for every radicand
+        the same number can be written over, such as sqrt(8) and 2*sqrt(2)."""
+        return self.a, self.b > 0, self.b * self.b * (self.radicand or 0)
 
     def __eq__(self, other) -> bool:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        if self.a != other.a or self.b != other.b:
-            return False
-        return self.b == 0 or self.radicand == other.radicand
+        if self.radicand == other.radicand:
+            return self.a == other.a and self.b == other.b
+        return self._value_key() == other._value_key()
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.radicand))
+        return hash(self._value_key())
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -575,9 +566,10 @@ def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
 def pencil_invariant(rep: Mapping[Permutation, Matrix], f: Conic, g: Conic) -> bool:
     """Does the group carry the coefficient span of {f, g} into itself?
 
-    ``rep`` maps group elements to point matrices; the images of the
-    generators suffice, because a span that every generator carries into
-    itself is carried into itself by every word in the generators.
+    ``rep`` maps group elements to point matrices, and every matrix in it
+    is checked.  The images of the generators alone suffice, since a span
+    that every generator carries into itself is carried into itself by
+    every word in the generators; a full table costs one check per element.
 
     A point matrix M turns a conic q(x) into q(M^-1 x).  The inverse of
     that map on conic space is q(x) -> q(M x), which is sym2(M^T), so no
@@ -856,7 +848,7 @@ def _hom_from_generators(
     against the matrix already there.  A table consistent on every edge
     is a homomorphism, because every element is a word in the generators.
     """
-    identity = G.identity_element()
+    identity = Permutation.identity()
     table = {identity: identity_matrix(3)}
     queue = [identity]
     for x in queue:
@@ -942,12 +934,10 @@ def d8_representation(a: int, b: int):
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
-    four_cycle = parse_permutation("(1234)")
-    flip = parse_permutation("(13)")
-    G = generate_group([four_cycle, flip])
+    G = resolve_group("D8")  # generated by (1234) and (13), in that order
     rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, a]])
     reflection = mat([[1, 0, 0], [0, -1, 0], [0, 0, b]])
-    rep = _hom_from_generators(G, {four_cycle: rotation, flip: reflection})
+    rep = _hom_from_generators(G, dict(zip(G.generators, (rotation, reflection))))
     return G, rep
 
 
@@ -995,12 +985,10 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices."""
-    double_a, double_b = parse_permutation("(12)(34)"), parse_permutation("(13)(24)")
-    G = generate_group([double_a, double_b])
-    rep = _hom_from_generators(G, {
-        double_a: mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
-        double_b: mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
-    })
+    G = resolve_group("V")  # generated by (12)(34) and (13)(24), in that order
+    double_a = mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]])
+    double_b = mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]])
+    rep = _hom_from_generators(G, dict(zip(G.generators, (double_a, double_b))))
     return G, rep
 
 

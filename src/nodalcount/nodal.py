@@ -29,6 +29,7 @@ from .permgroup import (
     orbit_and_stabilizer,
     subgroup_classes,
     subgroup_label,
+    verify_action,
 )
 
 __all__ = [
@@ -246,6 +247,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
         if rep in done:
             continue
         orbit, stab = orbit_and_stabilizer(G, act, rep)
+        verify_action(G, act, orbit)
         done.update(orbit)
 
         def act_on_block(h: Permutation, block: tuple) -> tuple:

@@ -30,6 +30,7 @@ __all__ = [
     "class_labels",
     "minimal_generating_set",
     "orbit_and_stabilizer",
+    "verify_action",
 ]
 
 
@@ -203,8 +204,9 @@ class PermGroup:
 
     Elements are kept sorted (image-tuple order) for cheap equality,
     hashing and canonical orderings.  Construction trusts the caller to
-    pass a closed set; ``generate_group`` validates it.  ``generators`` is
-    the tuple it was closed from, or (); geometry proves invariance on it.
+    pass a closed set.  ``generators`` is the tuple it was closed from,
+    or (): ``all_subgroups`` keeps each subgroup's label there, and
+    geometry keys its generator matrices by a preset's generators.
     """
 
     __slots__ = ("elements", "generators", "_set")
@@ -221,9 +223,6 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def identity_element(self) -> Permutation:
-        return Permutation.identity()
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._set
@@ -361,9 +360,9 @@ def class_labels(G: PermGroup) -> tuple:
     )
 
 
-def _verify_action(G: PermGroup, action: Callable, points: Sequence) -> None:
+def verify_action(G: PermGroup, action: Callable, points: Sequence) -> None:
     """Check the identity axiom, then compatibility for every pair of elements."""
-    identity = G.identity_element()
+    identity = Permutation.identity()
     for p in points:
         if action(identity, p) != p:
             raise InvalidActionError(f"identity axiom fails at {p!r}")
@@ -378,26 +377,16 @@ def _verify_action(G: PermGroup, action: Callable, points: Sequence) -> None:
 
 
 def orbit_and_stabilizer(G: PermGroup, action: Callable, x) -> tuple:
-    """Orbit (in BFS order) and stabilizer subgroup of x under a left action.
+    """Orbit and stabilizer subgroup of x under a left action, unchecked.
 
-    The action axioms are checked on the points of the orbit before the
-    result is returned; a violation raises InvalidActionError.
+    The orbit is {g.x} in first-seen order over G.elements, which starts
+    at the identity, so x comes first when the action is valid.  Only
+    |orbit| * |stab| = |G| is checked, raising InvalidActionError; the
+    axioms are the caller's to check (``verify_action``).
     """
-    orbit = [x]
-    seen = {x}
-    i = 0
-    while i < len(orbit):
-        p = orbit[i]
-        i += 1
-        for g in G.elements:
-            q = action(g, p)
-            if q not in seen:
-                seen.add(q)
-                orbit.append(q)
-    _verify_action(G, action, orbit)
-    stab_elems = [g for g in G.elements if action(g, x) == x]
-    stab = PermGroup(stab_elems)
-    stab = PermGroup(stab_elems, minimal_generating_set(stab))
-    if len(orbit) * stab.order != G.order:
+    images = [action(g, x) for g in G.elements]
+    orbit = tuple(dict.fromkeys(images))
+    stab = [g for g, y in zip(G.elements, images) if y == x]
+    if len(orbit) * len(stab) != G.order:
         raise InvalidActionError("orbit-stabilizer identity fails; action is broken")
-    return tuple(orbit), stab
+    return orbit, PermGroup(stab)

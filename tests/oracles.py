@@ -1,5 +1,6 @@
 """Test-only oracles: concrete G-set constructions checked against the ring,
-brute-force subgroup searches checked against ``permgroup``, the D8
+brute-force subgroup searches checked against ``permgroup``, the mark
+defect of ``verify``'s table counted from the definitions, the D8
 invariant-subspace structure the dihedral pencils are spanned from, and a
 deadline for checks that must not hang.
 
@@ -137,6 +138,32 @@ def minimal_generators_oracle(H: PermGroup) -> tuple:
         for gens in combinations(others, size):
             if closure_oracle(gens) == target:
                 return gens
+
+
+def mark_defect_oracle(H) -> int:
+    """LHS^K - RHS^K of ``verify``'s table at a subgroup K with image H in S4.
+
+    Counted from the definitions: the left side has mark #H-fixed 2-subsets
+    of the base points - #H-fixed pairings, the right side [Sigma] - {*}
+    has mark #H-fixed points - 1.  Blocks are frozensets, so nothing of
+    ``nodal`` is used.
+    """
+    subsets = [frozenset(s) for s in combinations(range(4), 2)]
+    pairings = {frozenset({s, frozenset(range(4)) - s}) for s in subsets}
+
+    def fixed(blocks) -> bool:
+        return all({frozenset(map(h, b)) for b in blocks} == blocks for h in H)
+
+    lhs = sum(fixed({s}) for s in subsets) - sum(fixed(p) for p in pairings)
+    rhs = sum(all(h(i) == i for h in H) for i in range(4)) - 1
+    return lhs - rhs
+
+
+def has_klein_four(H) -> bool:
+    """Whether the group H of permutations has two distinct commuting
+    involutions a, b, that is the Klein four-subgroup {1, a, b, ab}."""
+    involutions = [h for h in H if not h.is_identity() and (h * h).is_identity()]
+    return any(a * b == b * a for a, b in combinations(involutions, 2))
 
 
 def span_equal(rows_a, rows_b) -> bool:

@@ -41,9 +41,14 @@ from nodalcount.geometry import (
     rank,
     sym2,
 )
-from nodalcount.nodal import verify
-from nodalcount.permgroup import class_index_of, generate_group, parse_permutation
-from nodalcount.presets import resolve_group
+from nodalcount.nodal import enumerate_sigma_configs, verify
+from nodalcount.permgroup import (
+    Permutation,
+    class_index_of,
+    generate_group,
+    parse_permutation,
+)
+from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import d8_invariant_structure, deadline, span_equal
 
 
@@ -116,10 +121,23 @@ class TestQuadExt:
 
     def test_radicand_need_not_be_squarefree(self):
         # sqrt(8) and 2*sqrt(2) are one number written over two radicands;
-        # the field keeps them apart rather than factor to relate them.
+        # arithmetic keeps the two fields apart rather than factor to
+        # relate them.
         assert QuadExt(0, 1, 8).radicand == 8
         with pytest.raises(FieldExtensionError):
             QuadExt(0, 1, 8) + QuadExt(0, 1, 2)
+
+    def test_equality_across_radicands(self):
+        root8, twice_root2 = QuadExt(3, 1, 8), QuadExt(3, 2, 2)
+        assert root8 == twice_root2
+        assert hash(root8) == hash(twice_root2)
+        assert QuadExt(0, 1, -8) == QuadExt(0, 2, -2)
+        assert ProjPoint((1, root8, 0)) == ProjPoint((2, 2 * twice_root2, 0))
+        # b*b*radicand agrees, but the signs of b or of the radicands differ
+        assert QuadExt(0, -1, 8) != QuadExt(0, 2, 2)
+        assert QuadExt(0, 1, 2) != QuadExt(0, 1, -2)
+        assert QuadExt(0, 1, 2) != QuadExt(0, -1, -2)
+        assert QuadExt(0, 1, 2) != 0
 
     def test_sqrt_strips_squares_for_display(self):
         assert str(field_sqrt(qe(-8))) == "2*sqrt(-2)"
@@ -438,7 +456,7 @@ class TestBaseLocus:
             first_member_base_locus(f, g)
         assert exc.value.reason == "repeated base point"
         G = resolve_group("trivial")
-        case = PencilCase("z2", G, {G.identity_element(): identity_matrix(3)}, f, g)
+        case = PencilCase("z2", G, {Permutation.identity(): identity_matrix(3)}, f, g)
         with pytest.raises(NotGeneral) as exc:
             analyze_pencil(case)
         assert exc.value.reason == "repeated base point"
@@ -536,7 +554,7 @@ class TestRepresentations:
         )
         trivial = resolve_group("trivial")
         assert pencil_invariant(
-            {trivial.identity_element(): identity_matrix(3)},
+            {Permutation.identity(): identity_matrix(3)},
             conic({"XY": 1}),
             conic({"XZ": 1}),
         )
@@ -580,7 +598,7 @@ class TestRepresentations:
             ProjPoint((1, -2, -1)),
             ProjPoint((-3, -2, -1)),
         ]
-        sigma = induced_sigma({G.identity_element(): identity_matrix(3)}, base, G)
+        sigma = induced_sigma({Permutation.identity(): identity_matrix(3)}, base, G)
         assert sigma.decomposition == 4 * BurnsideElement.point(G)
 
     def test_induced_sigma_rejects_escaping_action(self):
@@ -616,7 +634,38 @@ class TestRepresentations:
         )
         for M in singular:
             with pytest.raises(ValueError):
-                induced_sigma({G.identity_element(): M}, base, G)
+                induced_sigma({Permutation.identity(): M}, base, G)
+
+
+def standard_matrix(p):
+    """The standard 3-dimensional representation of S4: M e_i = e_p(i),
+    with e4 = -(e1 + e2 + e3), so M permutes [1:0:0], [0:1:0], [0:0:1]
+    and [1:1:1] as p permutes the points 0..3 (Fulton and Harris,
+    Representation Theory, section 2.3)."""
+    e = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    return mat([[e[p(i)][row] for i in range(3)] for row in range(3)])
+
+
+def test_every_sweep_configuration_is_geometrically_realizable():
+    # One S4-invariant general pencil: the conics through the four points
+    # the standard representation permutes.  Each configuration's point
+    # action G -> S4, composed with it, acts on that pencil and induces
+    # the configuration again, up to relabelling the base points.
+    S4 = resolve_group("S4")
+    base = [ProjPoint(p) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    rep = {p: standard_matrix(p) for p in S4}
+    case = PencilCase("standard", S4, rep, *pencil_through(base))
+    located = analyze_pencil(case).base
+    realized = 0
+    for name in PRESET_ORDER:
+        G = resolve_group(name)
+        for sigma in enumerate_sigma_configs(G):
+            matrices = {g: standard_matrix(sigma.point_action[g]) for g in G}
+            induced = induced_sigma(matrices, located, G)
+            assert induced.orbit_classes == sigma.orbit_classes
+            assert verify(induced).equal == verify(sigma).equal
+            realized += 1
+    assert realized == 60
 
 
 class TestInvariantStructure:

@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from nodalcount import nodal
 from nodalcount.burnside import BurnsideElement, ConcreteGSet
 from nodalcount.nodal import (
     ALL_PAIRINGS,
@@ -15,14 +17,16 @@ from nodalcount.nodal import (
     verify_all,
 )
 from nodalcount.permgroup import (
+    PermGroup,
     Permutation,
     class_index_of,
     generate_group,
     parse_permutation,
     subgroup_classes,
+    verify_action,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import inflate_concrete
+from oracles import has_klein_four, inflate_concrete, mark_defect_oracle
 
 
 def perm(text):
@@ -187,7 +191,7 @@ class TestPairingAction:
         G = resolve_group("S4")
         sigma = config_by_classes(G, [class_index_of(G, subgroup(G, "(123)", "(12)"))])
         act = pairing_action(sigma)
-        e = G.identity_element()
+        e = Permutation.identity()
         for p in ALL_PAIRINGS:
             assert act(e, p) == p
 
@@ -247,6 +251,20 @@ class TestNodalOrbits:
                     assert len(r.orbit) * r.stabilizer.order == G.order
                     assert r.branch_set.mark(0) == 2
                     assert r.representative == min(r.orbit)
+
+    def test_each_pairing_orbit_is_checked_over_all_pairs(self, monkeypatch):
+        checked = []
+
+        def spy(G, act, points):
+            checked.append(tuple(sorted(points)))
+            verify_action(G, act, points)
+
+        monkeypatch.setattr(nodal, "verify_action", spy)
+        for name in PRESET_ORDER:
+            for sigma in enumerate_sigma_configs(resolve_group(name)):
+                checked.clear()
+                reports = nodal_orbit_reports(sigma)
+                assert checked == [r.orbit for r in reports]
 
 
 class TestVerify:
@@ -312,6 +330,36 @@ class TestVerify:
             for report in verify_all(G):
                 rows_equal = all(lm == rm for _, lm, rm in report.table)
                 assert rows_equal == report.equal
+
+
+class TestKleinCriterion:
+    """The mark defect LHS^K - RHS^K depends only on the image H of K in S4,
+    and a configuration is unequal exactly when the image of G contains a
+    Klein four-group: the same cause for V, V', D8, A4 and S4."""
+
+    def test_defect_is_counted_from_the_image_over_the_sweep(self):
+        S4 = resolve_group("S4")
+        configs = rows = 0
+        defects = Counter()
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            classes = subgroup_classes(G)
+            for report in verify_all(G):
+                action = report.sigma.point_action
+                configs += 1
+                assert report.equal == (not has_klein_four({action[g] for g in G}))
+                for idx, lm, rm in report.table:
+                    rows += 1
+                    H = {action[k] for k in classes[idx].representative}
+                    assert lm - rm == mark_defect_oracle(H)
+                    if lm != rm:
+                        defects[class_index_of(S4, PermGroup(H)), lm - rm] += 1
+        assert (configs, rows) == (60, 329)
+
+        def at(name, defect):
+            return class_index_of(S4, resolve_group(name)), defect
+
+        assert defects == {at("V'", 2): 12, at("V", -2): 7, at("A4", 1): 2, at("S4", 1): 1}
 
 
 class TestInvariants:

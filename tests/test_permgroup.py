@@ -12,6 +12,7 @@ from nodalcount.permgroup import (
     parse_permutation,
     subgroup_classes,
     subgroup_label,
+    verify_action,
 )
 from nodalcount.presets import PRESETS, resolve_group
 from oracles import closure_oracle, minimal_generators_oracle, subgroups_oracle
@@ -241,5 +242,37 @@ class TestOrbitStabilizer:
             y = g.images[x]
             return {0: 1, 1: 0}.get(y, y) if g == bad else y
 
+        # The orbit and stabilizer counts are those of the natural action,
+        # so only the all-pairs check of the axioms sees the defect.
+        orbit, stab = orbit_and_stabilizer(G, twisted, 0)
+        assert len(orbit) * stab.order == G.order
         with pytest.raises(InvalidActionError):
-            orbit_and_stabilizer(G, twisted, 0)
+            verify_action(G, twisted, orbit)
+
+    def test_identity_axiom_checked(self):
+        G = resolve_group("Z2")
+        with pytest.raises(InvalidActionError, match="identity axiom"):
+            verify_action(G, lambda g, x: x + 1, [0])
+
+    def test_orbit_is_breadth_first_order(self):
+        # For a valid action the orbit comes out in the order of a
+        # breadth-first walk from x over all of G, here over every pairing
+        # orbit of the sweep.
+        from nodalcount.nodal import ALL_PAIRINGS, enumerate_sigma_configs, pairing_action
+
+        def breadth_first(G, act, x):
+            orbit = [x]
+            for p in orbit:
+                for g in G.elements:
+                    if act(g, p) not in orbit:
+                        orbit.append(act(g, p))
+            return tuple(orbit)
+
+        for name in PRESETS:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                act = pairing_action(sigma)
+                for x in ALL_PAIRINGS:
+                    orbit, stab = orbit_and_stabilizer(G, act, x)
+                    assert orbit == breadth_first(G, act, x)
+                    assert set(stab) == {g for g in G if act(g, x) == x}
