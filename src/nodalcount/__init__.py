@@ -2,8 +2,6 @@
 
 from .burnside import (
     BurnsideElement,
-    ConcreteGSet,
-    TableOfMarks,
     be_equal,
     decompose,
     inflate,
@@ -11,7 +9,6 @@ from .burnside import (
 )
 from .geometry import (
     Conic,
-    DoubleLine,
     FieldExtensionError,
     IrrationalNodalParameter,
     NotGeneral,

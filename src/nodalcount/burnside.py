@@ -12,12 +12,11 @@ triangular table of marks by integer back-substitution.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .permgroup import (
     PermGroup,
     Permutation,
-    SubgroupClass,
     class_index_of,
     class_labels,
     minimal_generating_set,
@@ -27,32 +26,24 @@ from .permgroup import (
 )
 
 __all__ = [
-    "TableOfMarks",
     "table_of_marks",
     "BurnsideElement",
     "be_equal",
-    "ConcreteGSet",
     "decompose",
     "inflate",
 ]
 
 
-class TableOfMarks(NamedTuple):
-    """marks[h][k] = number of K_k-fixed cosets in G/H_h, classes in canonical order."""
-
-    ambient: PermGroup
-    marks: tuple
-
-
 @lru_cache(maxsize=None)
-def table_of_marks(G: PermGroup) -> TableOfMarks:
-    """Table of marks by the conjugate count #{g in G : K <= gHg^-1} / |H|.
+def table_of_marks(G: PermGroup) -> tuple:
+    """The rows M[h][k] = #{K_k-fixed cosets in G/H_h}, classes in canonical order.
 
-    A coset gH is K-fixed iff K <= gHg^-1, and that conjugate depends
-    only on the coset, so each fixed coset is counted |H| times.  Each
-    member of H's class is gHg^-1 for |N_G(H)| = |G| / |class| elements g.
-    The canonical class order (ascending subgroup order) makes the matrix
-    lower-triangular with positive diagonal |N_G(H)| / |H|.
+    Counted as #{g in G : K <= gHg^-1} / |H|.  A coset gH is K-fixed iff
+    K <= gHg^-1, and that conjugate depends only on the coset, so each
+    fixed coset is counted |H| times.  Each member of H's class is gHg^-1
+    for |N_G(H)| = |G| / |class| elements g.  The canonical class order
+    (ascending subgroup order) makes the matrix lower-triangular with
+    positive diagonal |N_G(H)| / |H|.
     """
     classes = subgroup_classes(G)
     rows = []
@@ -64,12 +55,12 @@ def table_of_marks(G: PermGroup) -> TableOfMarks:
             // hcls.representative.order
             for kcls in classes
         ))
-    return TableOfMarks(G, tuple(rows))
+    return tuple(rows)
 
 
 def _coeffs_from_marks(G: PermGroup, mark_vec: Sequence[int]) -> tuple:
     """Invert the (lower-triangular) table of marks over the integers."""
-    M = table_of_marks(G).marks
+    M = table_of_marks(G)
     n = len(mark_vec)
     coeffs = [0] * n
     for k in range(n - 1, -1, -1):
@@ -171,17 +162,12 @@ class BurnsideElement:
 
     # -- marks ----------------------------------------------------------
 
-    def mark(self, k) -> int:
-        """Fixed-point count at the subgroup class k (index or SubgroupClass)."""
-        if isinstance(k, SubgroupClass):
-            if subgroup_classes(self.ambient)[k.class_index] != k:
-                raise ValueError("subgroup class belongs to a different group")
-            k = k.class_index
-        M = table_of_marks(self.ambient).marks
-        return sum(c * M[h][k] for h, c in enumerate(self.coeffs))
+    def mark(self, k: int) -> int:
+        """Fixed-point count at the subgroup class of index k."""
+        return self.mark_vector()[k]
 
     def mark_vector(self) -> tuple:
-        M = table_of_marks(self.ambient).marks
+        M = table_of_marks(self.ambient)
         n = len(self.coeffs)
         return tuple(
             sum(self.coeffs[h] * M[h][k] for h in range(n)) for k in range(n)
@@ -242,49 +228,33 @@ def be_equal(x: BurnsideElement, y: BurnsideElement):
     return (not witnesses), witnesses
 
 
-class ConcreteGSet:
-    """A finite set with an explicit G-action given as a callable (g, x) -> x."""
+def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
+    """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i].
 
-    __slots__ = ("ambient", "points", "act")
-
-    def __init__(self, ambient: PermGroup, points: tuple, act: Callable) -> None:
-        self.ambient = ambient
-        self.points = points
-        self.act = act
-
-    def validate(self) -> None:
-        """Check the action axioms exhaustively (generator compatibility suffices)."""
-        G = self.ambient
-        pointset = set(self.points)
-        if len(pointset) != len(self.points):
-            raise ValueError("duplicate points in a concrete G-set")
-        identity = Permutation.identity()
-        for p in self.points:
-            if self.act(identity, p) != p:
-                raise ValueError(f"identity axiom fails at {p!r}")
-        gens = minimal_generating_set(G) or (identity,)
-        for g in gens:
-            for p in self.points:
-                if self.act(g, p) not in pointset:
-                    raise ValueError(f"action leaves the point set at {g} . {p!r}")
-            for h in G.elements:
-                gh = g * h
-                for p in self.points:
-                    if self.act(gh, p) != self.act(g, self.act(h, p)):
-                        raise ValueError(
-                            f"compatibility fails at ({g}, {h}, {p!r})"
-                        )
-
-
-def decompose(S: ConcreteGSet) -> BurnsideElement:
-    """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i]."""
-    S.validate()
-    G = S.ambient
+    The action axioms are checked exhaustively first (generator
+    compatibility suffices).
+    """
+    pointset = set(points)
+    if len(pointset) != len(points):
+        raise ValueError("duplicate points in a concrete G-set")
+    identity = Permutation.identity()
+    for p in points:
+        if act(identity, p) != p:
+            raise ValueError(f"identity axiom fails at {p!r}")
+    for g in minimal_generating_set(G) or (identity,):
+        for p in points:
+            if act(g, p) not in pointset:
+                raise ValueError(f"action leaves the point set at {g} . {p!r}")
+        for h in G.elements:
+            gh = g * h
+            for p in points:
+                if act(gh, p) != act(g, act(h, p)):
+                    raise ValueError(f"compatibility fails at ({g}, {h}, {p!r})")
     coeffs = [0] * len(subgroup_classes(G))
     seen: set = set()
-    for x in S.points:
+    for x in points:
         if x not in seen:
-            orbit, stab = orbit_and_stabilizer(G, S.act, x)
+            orbit, stab = orbit_and_stabilizer(G, act, x)
             seen.update(orbit)
             coeffs[class_index_of(G, stab)] += 1
     return BurnsideElement(G, tuple(coeffs))

@@ -50,8 +50,11 @@ class CliError(ValueError):
 def _emit(args, text: str, payload: dict) -> None:
     body = text if args.format == "text" else json.dumps(payload, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror}") from None
         return
     try:
         print(body)
@@ -135,11 +138,11 @@ def _load_sweep_golden() -> dict:
 
 def cmd_marks(args) -> int:
     G = _group(args)
-    tom = table_of_marks(G)
+    marks = table_of_marks(G)
     labels = class_labels(G)
     width = max(len(lbl) for lbl in labels)
     cells = [
-        max(len(labels[k]), max(len(str(row[k])) for row in tom.marks))
+        max(len(labels[k]), max(len(str(row[k])) for row in marks))
         for k in range(len(labels))
     ]
     lines = [f"table of marks for {args.group} (rows [G/H], columns K)"]
@@ -147,7 +150,7 @@ def cmd_marks(args) -> int:
         lbl.rjust(c) for lbl, c in zip(labels, cells)
     )
     lines.append(header)
-    for lbl, row in zip(labels, tom.marks):
+    for lbl, row in zip(labels, marks):
         lines.append(
             lbl.ljust(width)
             + " | "
@@ -156,7 +159,7 @@ def cmd_marks(args) -> int:
     payload = {
         "group": args.group,
         "classes": list(labels),
-        "marks": [list(row) for row in tom.marks],
+        "marks": [list(row) for row in marks],
     }
     _emit(args, "\n".join(lines), payload)
     return 0
@@ -201,12 +204,9 @@ def _render_counterexample(args, label, analysis, report):
     lines.append("base locus: " + ", ".join(str(p) for p in analysis.base))
     lines.append(report.render_text(args.target))
     expanded = _expanded_table(report)
-    width = max(len(name) for name, _, _ in expanded)
     lines.append("")
     lines.append("full per-subgroup table:")
-    lines.append(f"{'K <= G'.ljust(width)} | LHS^K | RHS^K")
-    for name, lm, rm in expanded:
-        lines.append(f"{name.ljust(width)} | {lm:5d} | {rm:5d}")
+    lines.extend(nodal.fixed_point_lines(expanded))
     payload = report.to_json()
     payload["pencil"] = label
     payload["members"] = [

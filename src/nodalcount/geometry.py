@@ -29,7 +29,6 @@ __all__ = [
     "IrrationalNodalParameter",
     "ProjPoint",
     "Conic",
-    "DoubleLine",
     "conic_to_string",
     "line_to_string",
     "sym2",
@@ -182,7 +181,8 @@ class QuadExt:
         return self._value_key() == other._value_key()
 
     def __hash__(self) -> int:
-        return hash(self._value_key())
+        # A rational hashes as the int or Fraction it equals.
+        return hash(self.a) if self.b == 0 else hash(self._value_key())
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -681,14 +681,8 @@ def nodal_members(f: Conic, g: Conic) -> list:
     return members
 
 
-class DoubleLine(NamedTuple):
-    """A rank-1 degenerate conic: one line squared."""
-
-    line: Vec
-
-
-def factor_degenerate(c: Conic):
-    """Split a singular conic into two lines (or report a double line).
+def factor_degenerate(c: Conic) -> tuple:
+    """Split a singular conic into two lines; a double line comes back twice.
 
     Rank 2 conics factor over the working field or one quadratic
     extension of it; the product of the returned lines reproduces the
@@ -702,7 +696,7 @@ def factor_degenerate(c: Conic):
         row = next(row for row in M if any(not x.is_zero() for x in row))
         if not conic_from_lines(row, row).is_proportional(c):
             raise ArithmeticError("rank-1 factorization failed")
-        return DoubleLine(row)
+        return row, row
     # rank 2: restrict to a plane complementary to the singular point
     p = kernel_basis(list(M), 3)[0]
     e = identity_matrix(3)
@@ -768,7 +762,7 @@ def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
     NotGeneral with reason "common component", "repeated base point" or
     "three collinear" when the pencil is not general.
     """
-    if isinstance(lines, DoubleLine):
+    if lines[0] == lines[1]:
         raise NotGeneral("repeated base point")
     other = g if t[1] == 0 else f
     points = []
@@ -900,10 +894,10 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
     (t, first), rest = members[0], members[1:]
     lines = [factor_degenerate(first)]
     base = base_locus(case.f, case.g, t, lines[0])
+    # No member is a double line: it would put all four base points on
+    # one line, and base_locus has proved that no three are collinear.
     for _, member in rest:
         lines.append(factor_degenerate(member))
-        if isinstance(lines[-1], DoubleLine):
-            raise NotGeneral("repeated base point")
     sigma = induced_sigma(case.rep, base, case.group)
     return PencilAnalysis(tuple(members), tuple(lines), tuple(base), sigma)
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .burnside import (
-    BurnsideElement,
-    ConcreteGSet,
-    be_equal,
-    decompose,
-    inflate,
-)
+from .burnside import BurnsideElement, be_equal, decompose, inflate
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -42,6 +36,7 @@ __all__ = [
     "NodalOrbitReport",
     "nodal_orbit_reports",
     "VerificationReport",
+    "fixed_point_lines",
     "verify",
     "verify_all",
 ]
@@ -83,19 +78,24 @@ ALL_PAIRINGS = (
 class SigmaConfig:
     """A 4-point G-set: a homomorphism G -> S4 plus its orbit decomposition."""
 
-    __slots__ = ("ambient", "point_action", "decomposition", "orbit_classes")
+    __slots__ = ("ambient", "point_action", "decomposition")
 
     def __init__(
         self,
         ambient: PermGroup,
         point_action: Mapping[Permutation, Permutation],
         decomposition: BurnsideElement,
-        orbit_classes: tuple,
     ) -> None:
         self.ambient = ambient
         self.point_action = dict(point_action)
         self.decomposition = decomposition
-        self.orbit_classes = orbit_classes
+
+    @property
+    def orbit_classes(self) -> tuple:
+        """The class index of each orbit, ascending."""
+        return tuple(
+            idx for idx, n in enumerate(self.decomposition.coeffs) for _ in range(n)
+        )
 
     @classmethod
     def from_action(
@@ -110,29 +110,19 @@ class SigmaConfig:
                     raise ValueError(
                         f"point action is not a homomorphism at ({g}, {h})"
                     )
-        concrete = ConcreteGSet(
-            G, (0, 1, 2, 3), lambda g, i: point_action[g](i)
-        )
-        deco = decompose(concrete)
-        orbit_classes = []
-        for idx, n in enumerate(deco.coeffs):
-            orbit_classes.extend([idx] * n)
-        return cls(G, dict(point_action), deco, tuple(sorted(orbit_classes)))
+        deco = decompose(G, (0, 1, 2, 3), lambda g, i: point_action[g](i))
+        return cls(G, point_action, deco)
 
     def sigma_string(self) -> str:
         """Display like "2*+[G/(123)]"; "k*" counts fixed points, "[G]" is a free orbit."""
-        G = self.ambient
-        classes = subgroup_classes(G)
-        full_index = len(classes) - 1
-        fixed = self.orbit_classes.count(full_index)
-        counts: dict = {}
-        for idx in self.orbit_classes:
-            if idx != full_index:
-                counts[idx] = counts.get(idx, 0) + 1
+        classes = subgroup_classes(self.ambient)
+        *counts, fixed = self.decomposition.coeffs
         terms = []
         if fixed:
             terms.append(f"{fixed}*")
-        for idx in sorted(counts):
+        for idx, mult in enumerate(counts):
+            if not mult:
+                continue
             rep = classes[idx].representative
             if rep.order == 1:
                 body = "[G]"
@@ -141,7 +131,6 @@ class SigmaConfig:
                     g.cycle_string() for g in minimal_generating_set(rep)
                 )
                 body = f"[G/{gens}]"
-            mult = counts[idx]
             terms.append(body if mult == 1 else f"{mult}{body}")
         return "+".join(terms) if terms else "0"
 
@@ -254,13 +243,21 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
             perm = sigma.point_action[h]
             return tuple(sorted(perm(i) for i in block))
 
-        branches = ConcreteGSet(stab, rep.blocks, act_on_block)
-        branch_be = decompose(branches)
+        branch_be = decompose(stab, rep.blocks, act_on_block)
         weight = inflate(G, stab, branch_be - BurnsideElement.point(stab))
         reports.append(
             NodalOrbitReport(rep, tuple(sorted(orbit)), stab, branch_be, weight)
         )
     return reports
+
+
+def fixed_point_lines(rows: Sequence) -> list:
+    """The "K <= G | LHS^K | RHS^K" table of (name, lhs mark, rhs mark) rows."""
+    width = max(len(name) for name, _, _ in rows)
+    lines = [f"{'K <= G'.ljust(width)} | LHS^K | RHS^K"]
+    for name, lm, rm in rows:
+        lines.append(f"{name.ljust(width)} | {lm:5d} | {rm:5d}")
+    return lines
 
 
 class VerificationReport(NamedTuple):
@@ -293,10 +290,9 @@ class VerificationReport(NamedTuple):
         lines.append(f"lhs = {self.lhs.render()}")
         lines.append(f"rhs = {self.rhs.render()}")
         lines.append(f"equal: {'true' if self.equal else 'false'}")
-        width = max(len(lbl) for lbl in labels)
-        lines.append(f"{'K <= G'.ljust(width)} | LHS^K | RHS^K")
-        for idx, lm, rm in self.table:
-            lines.append(f"{labels[idx].ljust(width)} | {lm:5d} | {rm:5d}")
+        lines.extend(
+            fixed_point_lines([(labels[idx], lm, rm) for idx, lm, rm in self.table])
+        )
         return "\n".join(lines)
 
     def to_json(self, group_name: str | None = None) -> dict:

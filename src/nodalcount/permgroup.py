@@ -130,9 +130,6 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r})"
 
@@ -229,9 +226,6 @@ class PermGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PermGroup) and self.elements == other.elements

@@ -4,17 +4,17 @@ defect of ``verify``'s table counted from the definitions, the D8
 invariant-subspace structure the dihedral pencils are spanned from, and a
 deadline for checks that must not hang.
 
-Each G-set oracle builds a literal G-set, so ``decompose`` of it is an
-answer that the Burnside-ring formulas (``inflate``, products, sums) must
-reproduce.  The subgroup oracles close sets under all pairwise products,
-not over generator edges, and assume no bound on the number of generators.
+Each G-set oracle builds a literal G-set as a (group, points, action)
+triple, so ``decompose`` of it is an answer that the Burnside-ring
+formulas (``inflate``, products, sums) must reproduce.  The subgroup
+oracles close sets under all pairwise products, not over generator
+edges, and assume no bound on the number of generators.
 """
 
 import signal
 from contextlib import contextmanager
 from itertools import combinations
 
-from nodalcount.burnside import ConcreteGSet
 from nodalcount.geometry import (
     _D8_CONICS,
     ZERO,
@@ -50,13 +50,14 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def inflate_concrete(G: PermGroup, H: PermGroup, S: ConcreteGSet) -> ConcreteGSet:
-    """The literal quotient (G x X)/~ with (gh, x) ~ (g, h.x), as a concrete G-set.
+def inflate_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
+    """The literal quotient (G x X)/~ with (gh, x) ~ (g, h.x), as a G-set triple.
 
     Points are (coset representative index, x) pairs with the equivalence
     applied eagerly; used as the independent oracle for ``inflate``.
     """
-    if S.ambient != H:
+    ambient, xs, act = S
+    if ambient != H:
         raise ValueError("concrete inflation expects an H-set")
     if not H.is_subgroup_of(G):
         raise ValueError("concrete inflation requires H <= G")
@@ -69,36 +70,36 @@ def inflate_concrete(G: PermGroup, H: PermGroup, S: ConcreteGSet) -> ConcreteGSe
             if h in H:
                 split[g] = (i, h)
                 break
-    points = tuple((i, x) for i in range(len(reps)) for x in S.points)
+    points = tuple((i, x) for i in range(len(reps)) for x in xs)
     action = {}
     for g in G.elements:
         for (i, x) in points:
             j, h = split[g * reps[i]]
-            action[(g, (i, x))] = (j, S.act(h, x))
-    return ConcreteGSet(G, points, lambda g, p: action[(g, p)])
+            action[(g, (i, x))] = (j, act(h, x))
+    return G, points, lambda g, p: action[(g, p)]
 
 
-def product_gset(S: ConcreteGSet, T: ConcreteGSet) -> ConcreteGSet:
+def product_gset(S: tuple, T: tuple) -> tuple:
     """Cartesian product with the diagonal action."""
-    if S.ambient != T.ambient:
+    (G, xs, act_s), (H, ys, act_t) = S, T
+    if G != H:
         raise ValueError("product needs a common ambient group")
-    points = tuple((x, y) for x in S.points for y in T.points)
-    return ConcreteGSet(
-        S.ambient, points, lambda g, p: (S.act(g, p[0]), T.act(g, p[1]))
-    )
+    points = tuple((x, y) for x in xs for y in ys)
+    return G, points, lambda g, p: (act_s(g, p[0]), act_t(g, p[1]))
 
 
-def disjoint_union_gset(S: ConcreteGSet, T: ConcreteGSet) -> ConcreteGSet:
+def disjoint_union_gset(S: tuple, T: tuple) -> tuple:
     """Disjoint union, with points tagged by side."""
-    if S.ambient != T.ambient:
+    (G, xs, act_s), (H, ys, act_t) = S, T
+    if G != H:
         raise ValueError("disjoint union needs a common ambient group")
-    points = tuple((0, x) for x in S.points) + tuple((1, y) for y in T.points)
+    points = tuple((0, x) for x in xs) + tuple((1, y) for y in ys)
 
     def act(g, p):
         side, x = p
-        return (side, S.act(g, x) if side == 0 else T.act(g, x))
+        return (side, act_s(g, x) if side == 0 else act_t(g, x))
 
-    return ConcreteGSet(S.ambient, points, act)
+    return G, points, act
 
 
 def closure_oracle(elements) -> frozenset:

@@ -163,6 +163,12 @@ class TestCommands:
         data = json.loads(target.read_text())
         assert data["equal"] is True
 
+    def test_unwritable_output_is_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code = main(["--output", str(target), "marks", "--group", "Z2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
 
 def test_closed_stdout_ends_quietly():
     # The read end of the pipe is closed before the command runs, so its

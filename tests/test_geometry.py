@@ -9,7 +9,6 @@ from nodalcount.burnside import BurnsideElement
 from nodalcount.geometry import (
     MONOMIALS,
     Conic,
-    DoubleLine,
     FieldExtensionError,
     IrrationalNodalParameter,
     NotGeneral,
@@ -138,6 +137,11 @@ class TestQuadExt:
         assert QuadExt(0, 1, 2) != QuadExt(0, 1, -2)
         assert QuadExt(0, 1, 2) != QuadExt(0, -1, -2)
         assert QuadExt(0, 1, 2) != 0
+
+    def test_rational_hashes_like_the_rational(self):
+        assert hash(QuadExt(1)) == hash(1)
+        assert 1 in {QuadExt(1)}
+        assert QuadExt(Fraction(1, 2)) in {Fraction(1, 2)}
 
     def test_sqrt_strips_squares_for_display(self):
         assert str(field_sqrt(qe(-8))) == "2*sqrt(-2)"
@@ -401,7 +405,7 @@ class TestRationalRoots:
 class TestFactorDegenerate:
     def test_difference_of_squares(self):
         pair = factor_degenerate(conic({"X^2": 1, "Y^2": -1}))
-        assert not isinstance(pair, DoubleLine)
+        assert pair[0] != pair[1]
         lines = {tuple(map(str, line)) for line in pair}
         assert conic_from_lines(*pair).is_proportional(conic({"X^2": 1, "Y^2": -1}))
 
@@ -416,8 +420,9 @@ class TestFactorDegenerate:
 
     def test_double_line(self):
         out = factor_degenerate(conic({"Z^2": 1}))
-        assert isinstance(out, DoubleLine)
-        assert [str(c) for c in out.line] == ["0", "0", "1"]
+        line = out[0]
+        assert out == (line, line)
+        assert [str(c) for c in line] == ["0", "0", "1"]
 
     def test_rank_three_rejected(self):
         with pytest.raises(ValueError):
@@ -784,10 +789,20 @@ class TestD8Pipeline:
         assert len(cases) == 9
 
     def test_first_seven_not_general(self):
-        cases = d8_case_suite(1, 1, Fraction(1), Fraction(1))
-        for case in cases[:7]:
-            with pytest.raises(NotGeneral):
-                analyze_pencil(case)
+        # Every member of cases 1, 5, 6, 7 is singular; cases 2, 3, 4
+        # contain the double line z^2.
+        reasons = ["common component"] + ["repeated base point"] * 3
+        reasons += ["common component"] * 3
+        values = [(Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(-5)),
+                  (Fraction(-7, 3), Fraction(2))]
+        for a in (1, -1):
+            for b in (1, -1):
+                for c, d in values:
+                    cases = d8_case_suite(a, b, c, d)
+                    for case, reason in zip(cases[:7], reasons):
+                        with pytest.raises(NotGeneral) as info:
+                            analyze_pencil(case)
+                        assert info.value.reason == reason, (a, b, c, d, case.label)
 
     def test_case8_sigma_class(self):
         for a in (1, -1):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from nodalcount import nodal
-from nodalcount.burnside import BurnsideElement, ConcreteGSet
+from nodalcount.burnside import BurnsideElement
 from nodalcount.nodal import (
     ALL_PAIRINGS,
     Pairing,
@@ -62,19 +62,16 @@ def weight_marks_by_oracle(report, G):
             for h in H.elements
             for block in blocks
         }
-        branch_set = ConcreteGSet(H, blocks, lambda h, b, t=action: t[(h, b)])
+        branch_set = H, blocks, lambda h, b, t=action: t[(h, b)]
         lifted = inflate_concrete(G, H, branch_set)
-        lifted_point = inflate_concrete(
-            G, H, ConcreteGSet(H, ("pt",), lambda h, p: p)
-        )
+        lifted_point = inflate_concrete(G, H, (H, ("pt",), lambda h, p: p))
         for cls in subgroup_classes(G):
             K = cls.representative
 
             def fixed(S):
+                _, points, act = S
                 return sum(
-                    1
-                    for p in S.points
-                    if all(S.act(k, p) == p for k in K.elements)
+                    1 for p in points if all(act(k, p) == p for k in K.elements)
                 )
 
             totals[cls.class_index] += fixed(lifted) - fixed(lifted_point)
@@ -381,17 +378,17 @@ class TestInvariants:
                         ]
                         stab = generate_group(stab_elems)
                         blocks = other.blocks
-                        branch = ConcreteGSet(
+                        from nodalcount.burnside import decompose, inflate
+
+                        branch = decompose(
                             stab,
                             blocks,
                             lambda h, b: tuple(
                                 sorted(sigma.point_action[h](i) for i in b)
                             ),
                         )
-                        from nodalcount.burnside import decompose, inflate
-
                         weight = inflate(
-                            G, stab, decompose(branch) - BurnsideElement.point(stab)
+                            G, stab, branch - BurnsideElement.point(stab)
                         )
                         assert weight == report.weight
 
