@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .permgroup import (
+    InvalidActionError,
     PermGroup,
     Permutation,
     class_index_of,
@@ -232,7 +233,7 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i].
 
     The action axioms are checked exhaustively first (generator
-    compatibility suffices).
+    compatibility suffices), raising InvalidActionError on a failure.
     """
     pointset = set(points)
     if len(pointset) != len(points):
@@ -240,16 +241,16 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     identity = Permutation.identity()
     for p in points:
         if act(identity, p) != p:
-            raise ValueError(f"identity axiom fails at {p!r}")
+            raise InvalidActionError(f"identity axiom fails at {p!r}")
     for g in minimal_generating_set(G) or (identity,):
         for p in points:
             if act(g, p) not in pointset:
-                raise ValueError(f"action leaves the point set at {g} . {p!r}")
+                raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
         for h in G.elements:
             gh = g * h
             for p in points:
                 if act(gh, p) != act(g, act(h, p)):
-                    raise ValueError(f"compatibility fails at ({g}, {h}, {p!r})")
+                    raise InvalidActionError(f"compatibility fails at ({g}, {h}, {p!r})")
     coeffs = [0] * len(subgroup_classes(G))
     seen: set = set()
     for x in points:

@@ -78,11 +78,20 @@ def _group(args):
 _SIGMA_TERM = re.compile(r"^(?:(\d+)\*|(\d*)\[G(?:/(.+))?\])$")
 
 
+def _count(digits: str) -> int:
+    """A term's count, judged from its digits: 4 points have at most 4 orbits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 1 or int(digits) > 4:
+        raise CliError("a count in a sigma spec is at most 4, the most orbits of 4 points")
+    return int(digits)
+
+
 def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
     """Parse "+"-separated orbit terms: "k*" fixed points, "[G]", "k[G/<gens>]".
 
-    Generators inside [G/...] use cycle notation, comma separated, e.g.
-    "[G/(12),(34)]".  The term multiset must describe a 4-point G-set.
+    Each parenthesised cycle inside [G/...] is its own generator, so
+    "[G/(12),(34)]" and "[G/(12)(34)]" both name <(12),(34)>.  Counts are
+    at most 4, and the term multiset must describe a 4-point G-set.
     """
     multiset = []
     for raw in spec.split("+"):
@@ -94,10 +103,9 @@ def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
             raise CliError(f"cannot parse sigma term {term!r}")
         fixed, mult, gens_text = match.groups()
         if fixed is not None:
-            full = len(subgroup_classes(G)) - 1
-            multiset.extend([full] * int(fixed))
+            multiset.extend([len(subgroup_classes(G)) - 1] * _count(fixed))
             continue
-        count = int(mult) if mult else 1
+        count = _count(mult or "1")
         if gens_text is None:
             subgroup = generate_group([])
         else:
@@ -106,7 +114,10 @@ def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
                     parse_permutation(f"({body})")
                     for body in re.findall(r"\(([^()]*)\)", gens_text)
                 ]
-                if not re.fullmatch(r"\s*(\([^()]*\)\s*,?\s*)+", gens_text):
+                # Each "(...)" is one generator, optionally followed by a comma.
+                # The whitespace after ")" has one place to go, so a failing
+                # match takes linear time.
+                if not re.fullmatch(r"\s*(?:\([^()]*\)\s*(?:,\s*)?)+", gens_text):
                     raise ValueError(f"cannot parse generators {gens_text!r}")
             except ValueError as exc:
                 raise CliError(str(exc)) from None

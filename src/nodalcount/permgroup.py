@@ -1,19 +1,18 @@
 """Subgroups of S4, the symmetric group on the four base points.
 
 Every group here permutes the four base points of a pencil, so it is a
-subgroup of S4.  Everything is exact and exhaustive: a group is its
-full, sorted element list, built by one breadth-first walk over
-generator edges (``_close``).  Every subgroup of S4 is generated by at
-most two elements, so the closures of all element pairs reach each one.
-Conjugacy classes of subgroups receive a canonical order so that
-integer vectors indexed by them mean the same thing in every run.
+subgroup of S4.  S4's 30 subgroups are built once, at import, as masks
+(bit i is set when S4's i-th element lies in the subgroup), and every
+group's subgroups, conjugacy classes and labels are read off them.
+Classes receive a canonical order so that integer vectors indexed by
+them mean the same thing in every run.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -176,113 +175,123 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation.from_cycles(cycles)
 
 
-def _close(gens: Sequence[Permutation]) -> frozenset:
-    """The group generated by gens, by a breadth-first walk over generator edges.
+# S4, built once.  Its elements are numbered in image-tuple order, the
+# order of ``permutations`` and of ``Permutation``, so 0 is the identity;
+# _MUL[a][b] is the number of the product a * b.
+_S4 = tuple(permutations(range(4)))
+_INDEX = {images: i for i, images in enumerate(_S4)}
+_MUL = tuple(
+    tuple(_INDEX[a[b0], a[b1], a[b2], a[b3]] for b0, b1, b2, b3 in _S4) for a in _S4
+)
+_ELEMENTS = tuple(_trusted(images) for images in _S4)
 
-    Starting at the identity, every element found is right-multiplied by
-    each generator until nothing new appears.  In a finite group every
-    element is a positive word in the generators, so this reaches the
-    whole group with |<gens>| * |gens| products.
-    """
-    identity = Permutation.identity()
-    elems = {identity}
-    queue = [identity]
+
+def _members(mask: int) -> list:
+    """The element numbers in a mask, ascending."""
+    return [i for i in range(24) if mask >> i & 1]
+
+
+def _close(gens: Sequence[int]) -> int:
+    """The mask of <gens>, by a breadth-first walk from the identity over
+    generator edges: every element of a finite group is a positive word in
+    its generators, so |<gens>| * |gens| products reach them all."""
+    mask = 1
+    queue = [0]
     for x in queue:
+        row = _MUL[x]
         for s in gens:
-            y = x * s
-            if y not in elems:
-                elems.add(y)
+            y = row[s]
+            if not mask >> y & 1:
+                mask |= 1 << y
                 queue.append(y)
-    return frozenset(elems)
+    return mask
 
 
 class PermGroup:
-    """A subgroup of S4 given by its complete element list.
+    """A subgroup of S4, given by its mask over S4's numbered elements.
 
-    Elements are kept sorted (image-tuple order) for cheap equality,
-    hashing and canonical orderings.  Construction trusts the caller to
-    pass a closed set.  ``generators`` is the tuple it was closed from,
-    or (): ``all_subgroups`` keeps each subgroup's label there, and
+    Equality, hashing, membership and containment read the mask;
+    ``elements`` lists the members in image-tuple order.  Construction
+    trusts the caller to pass the mask of a group (``generate_group``
+    builds one from generators).  ``generators`` is the tuple it was
+    closed from, or (): a lattice member keeps its label there, and
     geometry keys its generator matrices by a preset's generators.
     """
 
-    __slots__ = ("elements", "generators", "_set")
+    __slots__ = ("mask", "elements", "generators")
 
-    def __init__(
-        self, elements: Iterable[Permutation], generators: Iterable[Permutation] = ()
-    ) -> None:
-        self.elements = tuple(sorted(elements))
+    def __init__(self, mask: int, generators: Iterable[Permutation] = ()) -> None:
+        self.mask = mask
+        self.elements = tuple(_ELEMENTS[i] for i in _members(mask))
         self.generators = tuple(generators)
-        self._set = frozenset(self.elements)
-        if not self.elements:
-            raise ValueError("a group needs at least the identity")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._set
+        return bool(self.mask >> _INDEX[p.images] & 1)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PermGroup) and self.elements == other.elements
+        return isinstance(other, PermGroup) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, {subgroup_label(self)})"
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self._set <= other._set
+        return not self.mask & ~other.mask
 
     def left_cosets(self, H: "PermGroup") -> tuple:
         """Left cosets g*H as sorted tuples, ordered by their minimal element."""
         if not H.is_subgroup_of(self):
             raise ValueError("left_cosets expects a subgroup")
-        seen: set = set()
-        cosets = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            coset = tuple(sorted(g * h for h in H.elements))
-            seen.update(coset)
-            cosets.append(coset)
-        return tuple(cosets)
+        hs = _members(H.mask)
+        # g runs upwards, so each coset first appears at its minimal element
+        cosets = {sum(1 << _MUL[g][h] for h in hs): 0 for g in _members(self.mask)}
+        return tuple(tuple(_ELEMENTS[i] for i in _members(c)) for c in cosets)
 
 
 def generate_group(generators: Iterable[Permutation]) -> PermGroup:
-    """Close a generator list into a PermGroup with deterministic element order."""
+    """Close a generator list into a PermGroup that keeps it as ``generators``."""
     gens = tuple(generators)
-    return PermGroup(_close(gens), gens)
+    return PermGroup(_close([_INDEX[g.images] for g in gens]), gens)
+
+
+def _lattice() -> tuple:
+    """S4's 30 subgroups, sorted by (order, element list), each with its label.
+
+    Every subgroup of S4 is 2-generated, so closing the tuples of at most
+    two non-identity elements, by size and then in ``combinations`` order,
+    reaches each; its label is the first tuple that closes to it.  Such a
+    tuple lies in the subgroup, so a walk over its own elements agrees.
+    """
+    labels: dict = {}
+    for size in range(3):
+        for gens in combinations(range(1, 24), size):
+            labels.setdefault(_close(gens), gens)
+    masks = sorted(labels, key=lambda m: (m.bit_count(), _members(m)))
+    return tuple(PermGroup(m, (_ELEMENTS[i] for i in labels[m])) for m in masks)
+
+
+_SUBGROUPS = _lattice()
+_LABELS = {H.mask: H.generators for H in _SUBGROUPS}
 
 
 @lru_cache(maxsize=None)
 def all_subgroups(G: PermGroup) -> tuple:
-    """Every subgroup of G, canonically sorted by (order, element list).
-
-    Every subgroup of S4 is generated by at most two elements, so the
-    closures of the tuples of at most two non-identity elements reach
-    them all.  The walk goes by tuple size, then in ``combinations``
-    order, and each subgroup keeps the first tuple that closes to it:
-    its smallest generating set that comes first lexicographically.
-    """
-    others = [p for p in G.elements if not p.is_identity()]
-    found = {}
-    for size in range(3):
-        for gens in combinations(others, size):
-            found.setdefault(_close(gens), gens)
-    groups = [PermGroup(fs, gens) for fs, gens in found.items()]
-    groups.sort(key=lambda H: (H.order, H.elements))
-    return tuple(groups)
+    """Every subgroup of G, canonically sorted by (order, element list)."""
+    return tuple(H for H in _SUBGROUPS if not H.mask & ~G.mask)
 
 
 def minimal_generating_set(G: PermGroup) -> tuple:
     """A smallest generating set, chosen deterministically; () for the trivial group."""
-    return all_subgroups(G)[-1].generators
+    return _LABELS[G.mask]
 
 
 class SubgroupClass(NamedTuple):
@@ -301,20 +310,18 @@ def subgroup_classes(G: PermGroup) -> tuple:
     the smallest member); the representative is that smallest member.
     """
     subs = all_subgroups(G)
-    position = {frozenset(H.elements): i for i, H in enumerate(subs)}
+    # conjugation by g maps element number h to g * h * g^-1
+    conjugators = [(_MUL[g], _MUL[g].index(0)) for g in _members(G.mask)]
     classes = []
-    used: set = set()
-    for i, H in enumerate(subs):
-        if i in used:
-            continue
-        member_indices = set()
-        for g in G.elements:
-            ginv = g.inverse()
-            conj = frozenset(g * h * ginv for h in H.elements)
-            member_indices.add(position[conj])
-        used |= member_indices
-        members = tuple(subs[j] for j in sorted(member_indices))
-        classes.append(members)
+    seen: set = set()
+    for H in subs:
+        if H.mask not in seen:
+            hs = _members(H.mask)
+            conjugates = {
+                sum(1 << _MUL[row[h]][inv] for h in hs) for row, inv in conjugators
+            }
+            seen |= conjugates
+            classes.append(tuple(K for K in subs if K.mask in conjugates))
     return tuple(
         SubgroupClass(members[0], members, idx) for idx, members in enumerate(classes)
     )
@@ -322,17 +329,13 @@ def subgroup_classes(G: PermGroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_lookup(G: PermGroup) -> dict:
-    lookup = {}
-    for cls in subgroup_classes(G):
-        for member in cls.members:
-            lookup[frozenset(member.elements)] = cls.class_index
-    return lookup
+    return {K.mask: cls.class_index for cls in subgroup_classes(G) for K in cls.members}
 
 
 def class_index_of(G: PermGroup, H: PermGroup) -> int:
     """Index of the conjugacy class of H among the canonical classes of G."""
     try:
-        return _class_lookup(G)[frozenset(H.elements)]
+        return _class_lookup(G)[H.mask]
     except KeyError:
         raise ValueError(f"{H!r} is not a subgroup of the ambient group") from None
 
@@ -375,12 +378,12 @@ def orbit_and_stabilizer(G: PermGroup, action: Callable, x) -> tuple:
 
     The orbit is {g.x} in first-seen order over G.elements, which starts
     at the identity, so x comes first when the action is valid.  Only
-    |orbit| * |stab| = |G| is checked, raising InvalidActionError; the
-    axioms are the caller's to check (``verify_action``).
+    |orbit| * |stab| = |G| and a stabilizer among S4's subgroups are
+    checked, raising InvalidActionError; the axioms are the caller's.
     """
     images = [action(g, x) for g in G.elements]
     orbit = tuple(dict.fromkeys(images))
-    stab = [g for g, y in zip(G.elements, images) if y == x]
-    if len(orbit) * len(stab) != G.order:
-        raise InvalidActionError("orbit-stabilizer identity fails; action is broken")
+    stab = sum(1 << i for i, y in zip(_members(G.mask), images) if y == x)
+    if len(orbit) * stab.bit_count() != G.order or stab not in _LABELS:
+        raise InvalidActionError("orbit-stabilizer check fails; action is broken")
     return orbit, PermGroup(stab)

@@ -12,6 +12,7 @@ from nodalcount.burnside import (
     table_of_marks,
 )
 from nodalcount.permgroup import (
+    InvalidActionError,
     class_index_of,
     generate_group,
     parse_permutation,
@@ -352,7 +353,7 @@ class TestDecompose:
     def test_invalid_action_rejected(self):
         G = resolve_group("Z2")
         sigma = perm("(12)")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidActionError):
             decompose(G, (0, 1, 2), lambda g, x: (x + 1) % 3 if g == sigma else x)
 
 

@@ -57,6 +57,34 @@ class TestSigmaSpecs:
         with pytest.raises(Exception):
             parse_sigma_spec("1*+[G/(12)]", G)  # a transposition is not in A4
 
+    def test_cycles_are_separate_generators(self):
+        G = resolve_group("V'")
+        both = parse_sigma_spec("3*+[G/(12),(34)]", G).orbit_classes
+        assert parse_sigma_spec("3*+[G/(12)(34)]", G).orbit_classes == both == (4,) * 4
+
+
+class TestHostileSigmaSpecs:
+    """Specs that a backtracking generator pattern or an eager expansion of
+    counts would hang on; each must exit 2 with a one-line error at once."""
+
+    def exits_two(self, capsys, spec):
+        with deadline(2):
+            code = main(["verify", "--group", "S4", "--sigma", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_failing_generator_list_is_linear(self, capsys):
+        self.exits_two(capsys, "[G/" + "(12)        " * 30 + "x]")
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["10000000*", "10000000[G]", "9" * 5000 + "*"],
+        ids=["fixed", "free", "5000-digit"],
+    )
+    def test_counts_above_four_are_rejected_unexpanded(self, capsys, spec):
+        self.exits_two(capsys, spec)
+
 
 class TestCommands:
     def test_verify_trivial(self, capsys):

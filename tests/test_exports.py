@@ -1,6 +1,7 @@
-"""Every module's __all__ names only what the module defines, and importing
-the package stays light."""
+"""Every module's __all__ names only what the module defines, importing the
+package stays light, and every name the benchmark hooks into exists."""
 
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import nodalcount
+from nodalcount import permgroup
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     info.name
     for info in pkgutil.iter_modules(nodalcount.__path__)
@@ -42,3 +45,19 @@ def test_import_loads_no_dataclasses_or_inspect():
         check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracing.py patches these names by attribute, and counts subgroup
+    # enumerations through all_subgroups.cache_info; a rename fails here
+    # rather than only when the benchmark runs.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, modname, attr, owner in tracing.SPAN_TARGETS:
+        module = importlib.import_module(modname)
+        if owner is None:
+            assert callable(getattr(module, attr)), name
+        else:
+            assert attr in vars(getattr(module, owner)), name
+    assert callable(permgroup.all_subgroups.cache_info)

@@ -17,7 +17,6 @@ from nodalcount.nodal import (
     verify_all,
 )
 from nodalcount.permgroup import (
-    PermGroup,
     Permutation,
     class_index_of,
     generate_group,
@@ -350,13 +349,41 @@ class TestKleinCriterion:
                     H = {action[k] for k in classes[idx].representative}
                     assert lm - rm == mark_defect_oracle(H)
                     if lm != rm:
-                        defects[class_index_of(S4, PermGroup(H)), lm - rm] += 1
+                        defects[class_index_of(S4, generate_group(H)), lm - rm] += 1
         assert (configs, rows) == (60, 329)
 
         def at(name, defect):
             return class_index_of(S4, resolve_group(name)), defect
 
         assert defects == {at("V'", 2): 12, at("V", -2): 7, at("A4", 1): 2, at("S4", 1): 1}
+
+
+class TestImageGroup:
+    """Why the 60 configurations of the sweep cover every finite group.
+
+    A projective map that fixes four points in general position is the
+    identity, so a finite group G acting on P^2 acts on the four base
+    points through its image Gbar <= S4.  Sigma, the pairings and the
+    branches are pulled back from Gbar, and inflation along G -> Gbar is
+    injective, so the identity holds for G exactly when it holds for Gbar.
+    """
+
+    def test_marks_are_those_of_the_image_group_acting_by_inclusion(self):
+        rows = unfaithful = 0
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            classes = subgroup_classes(G)
+            for report in verify_all(G):
+                action = report.sigma.point_action
+                image = generate_group(action.values())
+                unfaithful += image.order < G.order
+                inclusion = verify(SigmaConfig.from_action(image, {g: g for g in image}))
+                for idx, lm, rm in report.table:
+                    K = generate_group(action[k] for k in classes[idx].representative)
+                    _, image_lm, image_rm = inclusion.table[class_index_of(image, K)]
+                    assert (lm, rm) == (image_lm, image_rm), (name, idx)
+                    rows += 1
+        assert (rows, unfaithful) == (329, 40)
 
 
 class TestInvariants:

@@ -2,7 +2,6 @@ import pytest
 
 from nodalcount.permgroup import (
     InvalidActionError,
-    PermGroup,
     Permutation,
     all_subgroups,
     class_index_of,
@@ -137,10 +136,10 @@ class TestSubgroupClasses:
     def test_subgroup_list_closed_under_conjugation(self):
         for name in ["D8", "A4", "S4"]:
             G = resolve_group(name)
-            subs = set(all_subgroups(G))
+            subs = {frozenset(H.elements) for H in all_subgroups(G)}
             for H in subs:
                 for g in G.elements:
-                    assert PermGroup(g * h * g.inverse() for h in H) in subs
+                    assert frozenset(g * h * g.inverse() for h in H) in subs
 
     def test_presentation_independence(self):
         a = generate_group([perm("(123)"), perm("(12)")])
@@ -231,6 +230,13 @@ class TestOrbitStabilizer:
 
         with pytest.raises(InvalidActionError):
             orbit_and_stabilizer(G, broken, 1)
+
+    def test_stabilizer_that_is_no_subgroup_is_rejected(self):
+        # |orbit| * |stab| = |G| holds, but {(), (1234)} is not closed.
+        G = resolve_group("Z4")
+        half = {Permutation.identity(), perm("(1234)")}
+        with pytest.raises(InvalidActionError):
+            orbit_and_stabilizer(G, lambda g, x: x if g in half else -x, 1)
 
     def test_defect_on_one_non_generator_is_caught(self):
         G = resolve_group("S4")
