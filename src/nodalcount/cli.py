@@ -308,7 +308,14 @@ def cmd_theorem_sweep(args) -> int:
 
 
 def _fraction(text: str) -> Fraction:
+    """A rational from its text, refused before Fraction expands an exponent
+    into a numerator or denominator longer than Python prints: "1e10000000"
+    is 11 characters, and its numerator has ten million digits."""
+    mantissa, marker, exponent = text.upper().partition("E")
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     try:
+        if marker and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .nodal import SigmaConfig
@@ -73,6 +75,10 @@ class QuadExt:
 
     The radicand is any integer that is not a perfect square.  It need not
     be squarefree, so checking it takes one isqrt, not a factorization.
+    The constructor is where a number enters: it coerces both parts to
+    Fraction and checks the radicand.  Field operations build their results
+    with ``_trusted``, so a result inherits the radicand its operands carry
+    and is not checked again.
     """
 
     __slots__ = ("a", "b", "radicand")
@@ -117,12 +123,12 @@ class QuadExt:
         if other is None:
             return NotImplemented
         m = self._join(other)
-        return QuadExt(self.a + other.a, self.b + other.b, m)
+        return _trusted(self.a + other.a, self.b + other.b, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.radicand)
+        return _trusted(-self.a, -self.b, self.radicand)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -136,7 +142,7 @@ class QuadExt:
             return NotImplemented
         m = self._join(other)
         radical_sq = 0 if m is None else m
-        return QuadExt(
+        return _trusted(
             self.a * other.a + self.b * other.b * radical_sq,
             self.a * other.b + self.b * other.a,
             m,
@@ -148,10 +154,10 @@ class QuadExt:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in the working field")
         if self.radicand is None:
-            return QuadExt(1 / self.a)
+            return _trusted(1 / self.a, self.b, None)  # b is 0 here
         norm = self.a * self.a - self.b * self.b * self.radicand
         # Non-square radicand: the norm of a nonzero element is nonzero.
-        return QuadExt(self.a / norm, -self.b / norm, self.radicand)
+        return _trusted(self.a / norm, -self.b / norm, self.radicand)
 
     def __truediv__(self, other):
         other = self._lift(other)
@@ -200,6 +206,17 @@ class QuadExt:
 
     def __repr__(self) -> str:
         return f"QuadExt({self})"
+
+
+def _trusted(a: Fraction, b: Fraction, radicand: int | None) -> QuadExt:
+    """a + b*sqrt(radicand) from Fraction parts and a radicand already
+    checked, unchecked.  A zero b drops the radicand: ``__eq__`` and
+    ``__hash__`` rely on radicand being None exactly when b == 0."""
+    x = object.__new__(QuadExt)
+    x.a = a
+    x.b = b
+    x.radicand = radicand if b else None
+    return x
 
 
 ZERO = QuadExt(0)
@@ -834,13 +851,15 @@ def induced_sigma(
 
 def _hom_from_generators(
     G: PermGroup, images: Mapping[Permutation, Matrix]
-) -> dict:
+) -> Mapping[Permutation, Matrix]:
     """Extend generator images to the whole group, checking every generator edge.
 
     A breadth-first walk from the identity visits each edge (x, s): it
     defines table[x*s] = table[x] * images[s] or checks that product
     against the matrix already there.  A table consistent on every edge
     is a homomorphism, because every element is a word in the generators.
+    The table comes back read-only, since the cached representations
+    share it with every PencilCase built on them.
     """
     identity = Permutation.identity()
     table = {identity: identity_matrix(3)}
@@ -856,7 +875,7 @@ def _hom_from_generators(
                 raise ValueError("generator images do not extend to a homomorphism")
     if set(table) != set(G.elements):
         raise ValueError("generator images do not generate the group")
-    return table
+    return MappingProxyType(table)
 
 
 class PencilCase(NamedTuple):
@@ -864,7 +883,7 @@ class PencilCase(NamedTuple):
 
     label: str
     group: PermGroup
-    rep: dict
+    rep: Mapping[Permutation, Matrix]
     f: Conic
     g: Conic
 
@@ -917,6 +936,7 @@ _D8_CONICS = {
 }
 
 
+@lru_cache(maxsize=None)
 def d8_representation(a: int, b: int):
     """The order-8 dihedral subgroup of S4 acting on P^2, for signs a, b.
 
@@ -925,6 +945,8 @@ def d8_representation(a: int, b: int):
     diagonal matrix carrying the sign b; these satisfy the dihedral
     relations exactly, and the induced permutations of the base points in
     the general cases below reproduce the published action tables.
+    Each sign pair is built and checked once per process; the matrix
+    table is a read-only mapping that every caller shares.
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
@@ -977,8 +999,10 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 # -- the Klein four-group inside the standard S4 action ----------------------
 
 
+@lru_cache(maxsize=None)
 def klein_representation():
-    """The normal Klein four-group with its exact 3x3 matrices."""
+    """The normal Klein four-group with its exact 3x3 matrices, built once;
+    the matrix table is a read-only mapping that every caller shares."""
     G = resolve_group("V")  # generated by (12)(34) and (13)(24), in that order
     double_a = mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]])
     double_b = mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -270,11 +270,15 @@ def _lattice() -> tuple:
     two non-identity elements, by size and then in ``combinations`` order,
     reaches each; its label is the first tuple that closes to it.  Such a
     tuple lies in the subgroup, so a walk over its own elements agrees.
+    The walk stops at the 30th subgroup (tuple 150 of 277), since a later
+    tuple can only close to a subgroup that already has its label.
     """
     labels: dict = {}
-    for size in range(3):
-        for gens in combinations(range(1, 24), size):
-            labels.setdefault(_close(gens), gens)
+    tuples = chain.from_iterable(combinations(range(1, 24), size) for size in range(3))
+    for gens in tuples:
+        labels.setdefault(_close(gens), gens)
+        if len(labels) == 30:
+            break
     masks = sorted(labels, key=lambda m: (m.bit_count(), _members(m)))
     return tuple(PermGroup(m, (_ELEMENTS[i] for i in labels[m])) for m in masks)
 

@@ -162,6 +162,24 @@ class TestCommands:
         assert code == 0
         assert "equal: false" in out
 
+    @pytest.mark.parametrize("value", ["1e5000", "1e10000000", "1e-10000000"])
+    def test_exponent_too_long_to_print_exits_two(self, capsys, value):
+        # Fraction would expand the exponent first: the numerator of
+        # 1e10000000 alone takes seconds to build.  The parser refuses it.
+        with deadline(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["counterexample", "d8", "--c", value])
+        assert exc.value.code == 2
+        assert f"not a rational number: {value!r}" in capsys.readouterr().err
+
+    def test_long_plain_and_exponent_values_still_parse(self, capsys):
+        digits = "7" * 4200
+        for value in (digits, "2.5e3", "1e4200"):
+            with deadline(5):
+                code, out = run(capsys, "counterexample", "d8", "--c", value, "--case", "9")
+            assert code == 0
+            assert "equal: false" in out
+
     def test_counterexample_d8_case9(self, capsys):
         code, out = run(capsys, "counterexample", "d8", "--case", "9")
         assert code == 0

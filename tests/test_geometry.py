@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nodalcount import geometry
@@ -184,6 +185,80 @@ class TestQuadExt:
         assert str(QuadExt(0, 1, -2)) == "sqrt(-2)"
         assert str(QuadExt(1, -1, -2)) == "1-sqrt(-2)"
         assert str(ProjPoint((1, 1, QuadExt(0, 1, -2)))) == "[1:1:sqrt(-2)]"
+
+
+non_square_radicands = st.integers(-60, 60).filter(
+    lambda m: m < 0 or math.isqrt(m) ** 2 != m
+)
+
+
+class TestTrustedResults:
+    """Field operations build their results without the checking
+    constructor; each result must be the number the constructor gives."""
+
+    @staticmethod
+    def assert_built(result, a, b, m):
+        expected = QuadExt(a, b, m if b else None)
+        assert (result.a, result.b, result.radicand) == (
+            expected.a, expected.b, expected.radicand
+        )
+        assert type(result.a) is type(result.b) is Fraction
+        assert result == expected and hash(result) == hash(expected)
+
+    @settings(max_examples=150, derandomize=True)
+    @given(rationals, rationals, rationals, rationals, non_square_radicands)
+    def test_operations_match_the_constructor(self, a1, b1, a2, b2, m):
+        x, y = QuadExt(a1, b1, m), QuadExt(a2, b2, m)
+        self.assert_built(x + y, a1 + a2, b1 + b2, m)
+        self.assert_built(x - y, a1 - a2, b1 - b2, m)
+        self.assert_built(-x, -a1, -b1, m)
+        self.assert_built(x * y, a1 * a2 + b1 * b2 * m, a1 * b2 + b1 * a2, m)
+        if not y.is_zero():
+            norm = a2 * a2 - b2 * b2 * m
+            inv_a, inv_b = a2 / norm, -b2 / norm
+            self.assert_built(y.inverse(), inv_a, inv_b, m)
+            self.assert_built(
+                x / y, a1 * inv_a + b1 * inv_b * m, a1 * inv_b + b1 * inv_a, m
+            )
+
+    @settings(max_examples=60, derandomize=True)
+    @given(rationals, rationals)
+    def test_rational_operations_match_the_constructor(self, a1, a2):
+        x, y = QuadExt(a1), QuadExt(a2)
+        self.assert_built(x + y, a1 + a2, 0, None)
+        self.assert_built(x * y, a1 * a2, 0, None)
+        if a2:
+            self.assert_built(y.inverse(), 1 / a2, 0, None)
+
+    def test_cancelled_radical_part_drops_the_radicand(self):
+        root2 = QuadExt(0, 1, 2)
+        for result, rational in (
+            (root2 * root2, 2),
+            ((1 + root2) - root2, 1),
+            (root2 - root2, 0),
+            (QuadExt(1, 1, -3) * QuadExt(1, -1, -3), 4),
+            (QuadExt(2, 2, 2) / QuadExt(1, 1, 2), 2),
+        ):
+            assert result.radicand is None and result.b == 0
+            assert result == rational and hash(result) == hash(rational)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        rationals,
+        rationals.filter(bool),
+        rationals.filter(bool),
+        non_square_radicands,
+        non_square_radicands,
+    )
+    def test_results_still_refuse_a_second_radicand(self, a, b1, b2, m1, m2):
+        assume(m1 != m2)
+        x = QuadExt(a, b1, m1) * QuadExt(1, 1, m1)  # a result, not an input
+        y = QuadExt(0, b2, m2)
+        for op in (
+            lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y
+        ):
+            with pytest.raises(FieldExtensionError):
+                op()
 
 
 class TestProjPoint:
@@ -515,6 +590,33 @@ class TestRepresentations:
                 for g in G.elements:
                     for h in G.elements:
                         assert mat_mul(rep[g], rep[h]) == rep[g * h]
+
+    def test_representations_are_built_once_and_shared(self):
+        assert klein_representation() is klein_representation()
+        for a in (1, -1):
+            for b in (1, -1):
+                G, rep = d8_representation(a, b)
+                assert d8_representation(a, b)[1] is rep
+                assert d8_case_suite(a, b, 1, 1)[7].rep is rep
+                with pytest.raises(TypeError):
+                    rep[G.generators[0]] = identity_matrix(3)
+
+    def test_bad_signs_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="must be"):
+                d8_representation(2, 1)
+
+    def test_one_cache_miss_per_sign_pair(self, monkeypatch):
+        d8_representation.cache_clear()
+        calls = count_calls(monkeypatch, "_hom_from_generators")
+        signs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        for _ in range(3):
+            for a, b in signs:
+                d8_case_suite(a, b, 2, 3)
+        info = d8_representation.cache_info()
+        assert (info.misses, info.hits) == (4, 8)
+        # every generator edge is checked, once per sign pair
+        assert calls == {"_hom_from_generators": 4}
 
     def test_images_breaking_a_relation_are_rejected(self):
         rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])

@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from nodalcount import permgroup
 from nodalcount.permgroup import (
     InvalidActionError,
     Permutation,
@@ -168,6 +171,21 @@ class TestSubgroupClasses:
                 gens = minimal_generating_set(H)
                 assert H.generators == gens == minimal_generators_oracle(H)
                 assert generate_group(gens) == H
+
+    def test_lattice_walk_stops_without_losing_a_subgroup(self):
+        # Closing all 277 tuples of at most two non-identity elements, as
+        # the walk did before it stopped at the 30th subgroup, gives the
+        # same masks, labels and order.
+        labels = {}
+        for size in range(3):
+            for gens in combinations(range(1, 24), size):
+                labels.setdefault(permgroup._close(gens), gens)
+        masks = sorted(labels, key=lambda m: (m.bit_count(), permgroup._members(m)))
+        assert len(masks) == 30
+        assert [H.mask for H in permgroup._SUBGROUPS] == masks
+        assert [H.generators for H in permgroup._SUBGROUPS] == [
+            tuple(permgroup._ELEMENTS[i] for i in labels[m]) for m in masks
+        ]
 
     def test_labels(self):
         G = resolve_group("V")
