@@ -206,6 +206,19 @@ def _expanded_table(report: nodal.VerificationReport):
 
 
 def _render_counterexample(args, label, analysis, report):
+    try:
+        text, payload = _counterexample_report(args, label, analysis, report)
+    except ValueError as exc:
+        # str() refuses an int longer than sys.get_int_max_str_digits(); a
+        # nodal parameter or coefficient derived from c and d can be one.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise CliError(f"a number in the result has more than {limit} digits") from None
+    _emit(args, text, payload)
+
+
+def _counterexample_report(args, label, analysis, report):
     lines = [f"pencil: {label}", "degenerate members:"]
     for ((mu, lam), member), pair in zip(analysis.members, analysis.lines):
         lines.append(
@@ -232,7 +245,7 @@ def _render_counterexample(args, label, analysis, report):
     payload["full_table"] = [
         {"subgroup": name, "lhs": lm, "rhs": rm} for name, lm, rm in expanded
     ]
-    _emit(args, "\n".join(lines), payload)
+    return "\n".join(lines), payload
 
 
 def cmd_counterexample(args) -> int:

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .nodal import SigmaConfig
-from .permgroup import Permutation, PermGroup
+from .permgroup import Permutation, PermGroup, parse_permutation
 from .presets import resolve_group
 
 __all__ = [
@@ -940,8 +940,8 @@ _D8_CONICS = {
 def d8_representation(a: int, b: int):
     """The order-8 dihedral subgroup of S4 acting on P^2, for signs a, b.
 
-    The four-cycle acts by the rotation-type matrix (90-degree block plus
-    the sign a on z) and the transposition (13) by the reflection-type
+    The four-cycle (1234) acts by the rotation-type matrix (90-degree block
+    plus the sign a on z) and the transposition (13) by the reflection-type
     diagonal matrix carrying the sign b; these satisfy the dihedral
     relations exactly, and the induced permutations of the base points in
     the general cases below reproduce the published action tables.
@@ -950,11 +950,12 @@ def d8_representation(a: int, b: int):
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
-    G = resolve_group("D8")  # generated by (1234) and (13), in that order
-    rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, a]])
-    reflection = mat([[1, 0, 0], [0, -1, 0], [0, 0, b]])
-    rep = _hom_from_generators(G, dict(zip(G.generators, (rotation, reflection))))
-    return G, rep
+    G = resolve_group("D8")
+    images = {
+        parse_permutation("(1234)"): mat([[0, -1, 0], [1, 0, 0], [0, 0, a]]),
+        parse_permutation("(13)"): mat([[1, 0, 0], [0, -1, 0], [0, 0, b]]),
+    }
+    return G, _hom_from_generators(G, images)
 
 
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
@@ -1003,11 +1004,12 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices, built once;
     the matrix table is a read-only mapping that every caller shares."""
-    G = resolve_group("V")  # generated by (12)(34) and (13)(24), in that order
-    double_a = mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]])
-    double_b = mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]])
-    rep = _hom_from_generators(G, dict(zip(G.generators, (double_a, double_b))))
-    return G, rep
+    G = resolve_group("V")
+    images = {
+        parse_permutation("(12)(34)"): mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
+        parse_permutation("(13)(24)"): mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
+    }
+    return G, _hom_from_generators(G, images)
 
 
 def klein_counterexample() -> PencilCase:

@@ -2,8 +2,9 @@
 
 Every group here permutes the four base points of a pencil, so it is a
 subgroup of S4.  S4's 30 subgroups are built once, at import, as masks
-(bit i is set when S4's i-th element lies in the subgroup), and every
-group's subgroups, conjugacy classes and labels are read off them.
+(bit i is set when S4's i-th element lies in the subgroup); they are the
+only PermGroups, and every group's subgroups, conjugacy classes and
+labels are read off them.
 Classes receive a canonical order so that integer vectors indexed by
 them mean the same thing in every run.
 """
@@ -210,20 +211,18 @@ def _close(gens: Sequence[int]) -> int:
 class PermGroup:
     """A subgroup of S4, given by its mask over S4's numbered elements.
 
-    Equality, hashing, membership and containment read the mask;
-    ``elements`` lists the members in image-tuple order.  Construction
-    trusts the caller to pass the mask of a group (``generate_group``
-    builds one from generators).  ``generators`` is the tuple it was
-    closed from, or (): a lattice member keeps its label there, and
-    geometry keys its generator matrices by a preset's generators.
+    ``_lattice`` builds the only instances, one per subgroup, so equality
+    and hashing are identity.  Membership and containment read the mask;
+    ``elements`` lists the members in image-tuple order, and
+    ``generators`` is the subgroup's label (see ``_lattice``).
     """
 
     __slots__ = ("mask", "elements", "generators")
 
-    def __init__(self, mask: int, generators: Iterable[Permutation] = ()) -> None:
+    def __init__(self, mask: int, label: Sequence[int]) -> None:
         self.mask = mask
         self.elements = tuple(_ELEMENTS[i] for i in _members(mask))
-        self.generators = tuple(generators)
+        self.generators = tuple(_ELEMENTS[i] for i in label)
 
     @property
     def order(self) -> int:
@@ -234,12 +233,6 @@ class PermGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PermGroup) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"PermGroup(order={self.order}, {subgroup_label(self)})"
@@ -255,12 +248,6 @@ class PermGroup:
         # g runs upwards, so each coset first appears at its minimal element
         cosets = {sum(1 << _MUL[g][h] for h in hs): 0 for g in _members(self.mask)}
         return tuple(tuple(_ELEMENTS[i] for i in _members(c)) for c in cosets)
-
-
-def generate_group(generators: Iterable[Permutation]) -> PermGroup:
-    """Close a generator list into a PermGroup that keeps it as ``generators``."""
-    gens = tuple(generators)
-    return PermGroup(_close([_INDEX[g.images] for g in gens]), gens)
 
 
 def _lattice() -> tuple:
@@ -280,11 +267,16 @@ def _lattice() -> tuple:
         if len(labels) == 30:
             break
     masks = sorted(labels, key=lambda m: (m.bit_count(), _members(m)))
-    return tuple(PermGroup(m, (_ELEMENTS[i] for i in labels[m])) for m in masks)
+    return tuple(PermGroup(m, labels[m]) for m in masks)
 
 
 _SUBGROUPS = _lattice()
-_LABELS = {H.mask: H.generators for H in _SUBGROUPS}
+_GROUPS = {H.mask: H for H in _SUBGROUPS}
+
+
+def generate_group(generators: Iterable[Permutation]) -> PermGroup:
+    """The subgroup of S4 that a generator list closes to."""
+    return _GROUPS[_close([_INDEX[g.images] for g in generators])]
 
 
 @lru_cache(maxsize=None)
@@ -295,7 +287,7 @@ def all_subgroups(G: PermGroup) -> tuple:
 
 def minimal_generating_set(G: PermGroup) -> tuple:
     """A smallest generating set, chosen deterministically; () for the trivial group."""
-    return _LABELS[G.mask]
+    return G.generators
 
 
 class SubgroupClass(NamedTuple):
@@ -333,25 +325,23 @@ def subgroup_classes(G: PermGroup) -> tuple:
 
 @lru_cache(maxsize=None)
 def _class_lookup(G: PermGroup) -> dict:
-    return {K.mask: cls.class_index for cls in subgroup_classes(G) for K in cls.members}
+    return {K: cls.class_index for cls in subgroup_classes(G) for K in cls.members}
 
 
 def class_index_of(G: PermGroup, H: PermGroup) -> int:
     """Index of the conjugacy class of H among the canonical classes of G."""
     try:
-        return _class_lookup(G)[H.mask]
+        return _class_lookup(G)[H]
     except KeyError:
         raise ValueError(f"{H!r} is not a subgroup of the ambient group") from None
 
 
 def subgroup_label(H: PermGroup, ambient: PermGroup | None = None) -> str:
     """Short display name: "G" for the ambient group itself, else "<gens>"."""
-    if ambient is not None and H == ambient:
+    if H is ambient:
         return "G"
-    gens = minimal_generating_set(H)
-    if not gens:
-        return "<()>"
-    return "<" + ",".join(g.cycle_string() for g in gens) + ">"
+    gens = ",".join(g.cycle_string() for g in minimal_generating_set(H))
+    return f"<{gens or '()'}>"
 
 
 @lru_cache(maxsize=None)
@@ -388,6 +378,6 @@ def orbit_and_stabilizer(G: PermGroup, action: Callable, x) -> tuple:
     images = [action(g, x) for g in G.elements]
     orbit = tuple(dict.fromkeys(images))
     stab = sum(1 << i for i, y in zip(_members(G.mask), images) if y == x)
-    if len(orbit) * stab.bit_count() != G.order or stab not in _LABELS:
+    if len(orbit) * stab.bit_count() != G.order or stab not in _GROUPS:
         raise InvalidActionError("orbit-stabilizer check fails; action is broken")
-    return orbit, PermGroup(stab)
+    return orbit, _GROUPS[stab]

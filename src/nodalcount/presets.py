@@ -46,6 +46,5 @@ def resolve_group(name: str) -> PermGroup:
     if key not in PRESETS:
         known = ", ".join(sorted(list(PRESETS) + list(ALIASES)))
         raise KeyError(f"unknown group preset {name!r}; known presets: {known}")
-    gens = [parse_permutation(text) for text in PRESETS[key]]
-    return generate_group(gens)
+    return generate_group(map(parse_permutation, PRESETS[key]))
 

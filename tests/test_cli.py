@@ -180,6 +180,20 @@ class TestCommands:
             assert code == 0
             assert "equal: false" in out
 
+    def test_derived_number_too_long_to_print_exits_two(self, capsys):
+        # c and d fit the parser's 4300 digits, but a nodal parameter or a
+        # coefficient derived from them is too long for str().
+        nines, sevens = "9" * 4300, "7" * 4200
+        for argv in (
+            ["--c", nines, "--case", "9"],
+            ["--c", sevens, "--d", f"1/{sevens}", "--case", "8"],
+        ):
+            with deadline(5):
+                code = main(["counterexample", "d8", *argv])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_counterexample_d8_case9(self, capsys):
         code, out = run(capsys, "counterexample", "d8", "--case", "9")
         assert code == 0

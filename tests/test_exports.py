@@ -1,6 +1,7 @@
 """Every module's __all__ names only what the module defines, importing the
-package stays light, and every name the benchmark hooks into exists."""
+package stays light, and every name the benchmark hooks into or imports exists."""
 
+import ast
 import importlib.util
 import os
 import pkgutil
@@ -61,3 +62,71 @@ def test_benchmark_hooks_resolve():
         else:
             assert attr in vars(getattr(module, owner)), name
     assert callable(permgroup.all_subgroups.cache_info)
+
+
+def assigned(tree):
+    """(target, value) source texts of every assignment in tree, tuples unpacked."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                for t, v in zip(target.elts, node.value.elts):
+                    yield ast.unparse(t), ast.unparse(v)
+            else:
+                yield ast.unparse(target), ast.unparse(node.value)
+
+
+def bench_reads():
+    """(file:line, module, name) for each name bench/*.py imports from
+    nodalcount and each attribute it reads off a nodalcount module handle.
+
+    A handle is a module bound by an import, or a name or ``self.x``
+    assigned from a handle, such as ``geo = self.geo``.  Inside a function
+    that assigns a name anything else, such as a local ``presets`` deck,
+    that name is no handle."""
+    reads = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        handles = {}
+        for node in ast.walk(tree):
+            package = (getattr(node, "module", None) or "").split(".")[0]
+            if isinstance(node, ast.ImportFrom) and package == "nodalcount":
+                for alias in node.names:
+                    reads.add((f"{path.name}:{node.lineno}", node.module, alias.name))
+                    if node.module == "nodalcount" and alias.name in MODULES:
+                        handles[alias.asname or alias.name] = f"nodalcount.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "nodalcount":
+                        handles[alias.asname or alias.name] = alias.name
+        pairs = list(assigned(tree))
+        while any(v in handles and t not in handles for t, v in pairs):
+            handles.update({t: handles[v] for t, v in pairs if v in handles})
+
+        def visit(node, shadowed):
+            if isinstance(node, ast.FunctionDef):
+                shadowed = {t for t, v in assigned(node) if v not in handles}
+            if isinstance(node, ast.Attribute):
+                owner = ast.unparse(node.value)
+                if owner in handles and owner not in shadowed:
+                    reads.add((f"{path.name}:{node.lineno}", handles[owner], node.attr))
+            for child in ast.iter_child_nodes(node):
+                visit(child, shadowed)
+
+        visit(tree, set())
+    return sorted(reads)
+
+
+def test_bench_library_surface_resolves():
+    # The benchmark imports these names and reads these attributes; one that
+    # the package drops or renames fails here rather than in a bench run.
+    reads = bench_reads()
+    names = {(modname, name) for _, modname, name in reads}
+    assert ("nodalcount", "enumerate_sigma_configs") in names
+    assert ("nodalcount.geometry", "pencil_invariant") in names
+    assert ("nodalcount.nodal", "SigmaConfig") in names
+    for where, modname, name in reads:
+        module = importlib.import_module(modname)
+        found = hasattr(module, name) or (modname == "nodalcount" and name in MODULES)
+        assert found, f"{where}: {modname}.{name} does not resolve"

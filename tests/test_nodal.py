@@ -17,6 +17,7 @@ from nodalcount.nodal import (
     verify_all,
 )
 from nodalcount.permgroup import (
+    InvalidActionError,
     Permutation,
     class_index_of,
     generate_group,
@@ -158,16 +159,41 @@ class TestEnumerate:
                     )
 
     def test_from_action_rejects_a_broken_map(self):
-        G = resolve_group("D8")
-        natural = {g: g for g in G.elements}
-        SigmaConfig.from_action(G, natural)
-        half_turn = perm("(13)(24)")
-        assert half_turn in G and half_turn not in G.generators
-        with pytest.raises(ValueError):
-            SigmaConfig.from_action(G, {**natural, half_turn: perm("(12)(34)")})
-        del natural[half_turn]
-        with pytest.raises(ValueError):
+        # Replace one image of the natural action, at every element of every
+        # preset, the identity included, by every other permutation.
+        # decompose checks only the identity and the generator edges; it must
+        # reject exactly the maps that fail phi(g*h) = phi(g)*phi(h) somewhere.
+        S4 = resolve_group("S4").elements
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            natural = {g: g for g in G.elements}
             SigmaConfig.from_action(G, natural)
+            for x in G.elements:
+                rejected = 0
+                for y in S4:
+                    if y == x:
+                        continue
+                    phi = {**natural, x: y}
+                    if all(phi[g * h] == phi[g] * phi[h] for g in G for h in G):
+                        SigmaConfig.from_action(G, phi)
+                        continue
+                    rejected += 1
+                    with pytest.raises(InvalidActionError):
+                        SigmaConfig.from_action(G, phi)
+                # Only in a group of order 2 may x be sent elsewhere: to the
+                # identity or to one of S4's 8 other involutions.
+                assert rejected == (23 if G.order > 2 or x.is_identity() else 14)
+            del natural[G.elements[-1]]
+            with pytest.raises(ValueError, match="every group element"):
+                SigmaConfig.from_action(G, natural)
+        # Every edge of V's first generator a holds, since A is an involution;
+        # only the edges of b see that A and B do not commute.
+        V = resolve_group("V")
+        a, b = V.generators
+        A, B = perm("(12)(34)"), perm("(123)")
+        phi = {Permutation.identity(): Permutation.identity(), a: A, b: B, a * b: A * B}
+        with pytest.raises(InvalidActionError):
+            SigmaConfig.from_action(V, phi)
 
 
 class TestPairingAction:

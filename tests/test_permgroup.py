@@ -16,7 +16,7 @@ from nodalcount.permgroup import (
     subgroup_label,
     verify_action,
 )
-from nodalcount.presets import PRESETS, resolve_group
+from nodalcount.presets import ALIASES, PRESETS, resolve_group
 from oracles import closure_oracle, minimal_generators_oracle, subgroups_oracle
 
 
@@ -147,7 +147,7 @@ class TestSubgroupClasses:
     def test_presentation_independence(self):
         a = generate_group([perm("(123)"), perm("(12)")])
         b = generate_group([perm("(13)"), perm("(23)")])
-        assert a == b
+        assert a is b
         assert subgroup_classes(a) == subgroup_classes(b)
 
     def test_s4_subgroup_count(self):
@@ -170,7 +170,7 @@ class TestSubgroupClasses:
             for H in subs:
                 gens = minimal_generating_set(H)
                 assert H.generators == gens == minimal_generators_oracle(H)
-                assert generate_group(gens) == H
+                assert generate_group(gens) is H
 
     def test_lattice_walk_stops_without_losing_a_subgroup(self):
         # Closing all 277 tuples of at most two non-identity elements, as
@@ -194,6 +194,56 @@ class TestSubgroupClasses:
         assert subgroup_label(trivial) == "<()>"
 
 
+class TestOneObjectPerSubgroup:
+    """The lattice's 30 groups are the only PermGroups: every routine hands
+    back one of them, so equal subgroups are the same object."""
+
+    @staticmethod
+    def assert_in_lattice(H):
+        assert any(H is K for K in permgroup._SUBGROUPS), H
+
+    def test_equality_is_identity(self):
+        assert "__eq__" not in vars(permgroup.PermGroup)
+        assert "__hash__" not in vars(permgroup.PermGroup)
+
+    def test_generated_groups(self):
+        S4 = resolve_group("S4").elements
+        for size in range(4):
+            for gens in combinations(S4, size):
+                self.assert_in_lattice(generate_group(gens))
+
+    def test_presets_and_aliases(self):
+        for name in [*PRESETS, *ALIASES]:
+            self.assert_in_lattice(resolve_group(name))
+
+    def test_subgroups_and_classes(self):
+        for G in permgroup._SUBGROUPS:
+            for H in all_subgroups(G):
+                self.assert_in_lattice(H)
+            for cls in subgroup_classes(G):
+                self.assert_in_lattice(cls.representative)
+                for K in cls.members:
+                    self.assert_in_lattice(K)
+
+    def test_stabilizers(self):
+        from nodalcount.nodal import ALL_PAIRINGS, enumerate_sigma_configs, pairing_action
+
+        for name in PRESETS:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                act = pairing_action(sigma)
+                for x in ALL_PAIRINGS:
+                    self.assert_in_lattice(orbit_and_stabilizer(G, act, x)[1])
+
+        def on_cosets(g, coset):
+            return tuple(sorted(g * x for x in coset))
+
+        S4 = resolve_group("S4")
+        for H in all_subgroups(S4):
+            for coset in S4.left_cosets(H):
+                self.assert_in_lattice(orbit_and_stabilizer(S4, on_cosets, coset)[1])
+
+
 class TestOrbitStabilizer:
     def test_pairings_under_a4(self):
         from nodalcount.nodal import ALL_PAIRINGS, pairing_action, sigma_from_classes
@@ -211,7 +261,7 @@ class TestOrbitStabilizer:
         G = resolve_group("trivial")
         orbit, stab = orbit_and_stabilizer(G, lambda g, x: x, "anything")
         assert orbit == ("anything",)
-        assert stab == G
+        assert stab is G
 
     def test_z2_pairing_orbit(self):
         from nodalcount.nodal import ALL_PAIRINGS, pairing_action, sigma_from_classes
