@@ -20,7 +20,6 @@ from .permgroup import (
     Permutation,
     class_index_of,
     class_labels,
-    minimal_generating_set,
     orbit_and_stabilizer,
     subgroup_classes,
     subgroup_label,
@@ -73,6 +72,16 @@ def _coeffs_from_marks(G: PermGroup, mark_vec: Sequence[int]) -> tuple:
             )
         coeffs[k] = residue // diag
     return tuple(coeffs)
+
+
+def _signed_sum(terms: Sequence[str]) -> str:
+    """Signed terms as one sum: a term's leading "-" becomes the operator
+    before it, so "a", "-b" read "a - b"; "0" when there are none."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(
+        f" - {term[1:]}" if term.startswith("-") else f" + {term}" for term in terms[1:]
+    )
 
 
 class BurnsideElement:
@@ -178,25 +187,9 @@ class BurnsideElement:
 
     def render(self) -> str:
         labels = class_labels(self.ambient)
-        terms = []
-        for idx, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            name = labels[idx]
-            body = "[G/G]" if name == "G" else f"[G/{name}]"
-            terms.append((c, body))
-        if not terms:
-            return "0"
-        parts = []
-        for i, (c, body) in enumerate(terms):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                prefix = "-" if c < 0 else ""
-                parts.append(f"{prefix}{mag}*{body}")
-            else:
-                parts.append(f"{sign} {mag}*{body}")
-        return " ".join(parts)
+        return _signed_sum(
+            [f"{c}*[G/{labels[i]}]" for i, c in enumerate(self.coeffs) if c]
+        )
 
     def to_json(self) -> dict:
         labels = class_labels(self.ambient)
@@ -242,7 +235,7 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     for p in points:
         if act(identity, p) != p:
             raise InvalidActionError(f"identity axiom fails at {p!r}")
-    for g in minimal_generating_set(G) or (identity,):
+    for g in G.generators or (identity,):
         for p in points:
             if act(g, p) not in pointset:
                 raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")

@@ -219,21 +219,7 @@ def _render_counterexample(args, label, analysis, report):
 
 
 def _counterexample_report(args, label, analysis, report):
-    lines = [f"pencil: {label}", "degenerate members:"]
-    for ((mu, lam), member), pair in zip(analysis.members, analysis.lines):
-        lines.append(
-            f"  t=[{mu}:{lam}]  {conic_to_string(member)}"
-            f"  =  ({line_to_string(pair[0])}) * ({line_to_string(pair[1])})"
-        )
-    lines.append("base locus: " + ", ".join(str(p) for p in analysis.base))
-    lines.append(report.render_text(args.target))
-    expanded = _expanded_table(report)
-    lines.append("")
-    lines.append("full per-subgroup table:")
-    lines.extend(nodal.fixed_point_lines(expanded))
-    payload = report.to_json()
-    payload["pencil"] = label
-    payload["members"] = [
+    members = [
         {
             "t": f"[{mu}:{lam}]",
             "conic": conic_to_string(member),
@@ -241,7 +227,20 @@ def _counterexample_report(args, label, analysis, report):
         }
         for ((mu, lam), member), pair in zip(analysis.members, analysis.lines)
     ]
-    payload["base_locus"] = [str(p) for p in analysis.base]
+    base = [str(p) for p in analysis.base]
+    expanded = _expanded_table(report)
+    lines = [f"pencil: {label}", "degenerate members:"]
+    lines += [
+        f"  t={m['t']}  {m['conic']}  =  ({m['lines'][0]}) * ({m['lines'][1]})"
+        for m in members
+    ]
+    lines.append("base locus: " + ", ".join(base))
+    lines.append(report.render_text(args.target))
+    lines += ["", "full per-subgroup table:", *nodal.fixed_point_lines(expanded)]
+    payload = report.to_json()
+    payload["pencil"] = label
+    payload["members"] = members
+    payload["base_locus"] = base
     payload["full_table"] = [
         {"subgroup": name, "lhs": lm, "rhs": rm} for name, lm, rm in expanded
     ]
@@ -251,34 +250,27 @@ def _counterexample_report(args, label, analysis, report):
 def cmd_counterexample(args) -> int:
     if args.target == "klein":
         case = klein_counterexample()
-        analysis = analyze_pencil(case)
-        report = nodal.verify(analysis.sigma)
         label = "klein pencil through the orbit of [1:2:3]"
-        _render_counterexample(args, label, analysis, report)
-        return 0 if not report.equal else 1
-
-    # dihedral target
-    try:
-        cases = d8_case_suite(args.a, args.b, args.c, args.d)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    case = cases[args.case - 1]
-    label = (
-        f"{case.label}: mu*({conic_to_string(case.f)}) + "
-        f"lambda*({conic_to_string(case.g)})  [a={args.a}, b={args.b}, c={args.c}, d={args.d}]"
-    )
+    else:
+        try:
+            case = d8_case_suite(args.a, args.b, args.c, args.d)[args.case - 1]
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        label = (
+            f"{case.label}: mu*({conic_to_string(case.f)}) + "
+            f"lambda*({conic_to_string(case.g)})  [a={args.a}, b={args.b}, c={args.c}, d={args.d}]"
+        )
+    general = args.target == "klein" or args.case > 7
     try:
         analysis = analyze_pencil(case)
     except NotGeneral as exc:
         text = f"pencil: {label}\nnot general: {exc.reason}"
         payload = {"pencil": label, "general": False, "reason": exc.reason}
         _emit(args, text, payload)
-        return 0 if args.case <= 7 else 1
+        return 1 if general else 0
     report = nodal.verify(analysis.sigma)
     _render_counterexample(args, label, analysis, report)
-    if args.case <= 7:
-        return 1  # the first seven are expected to be non-general
-    return 0 if not report.equal else 1
+    return 0 if general and not report.equal else 1
 
 
 def cmd_theorem_sweep(args) -> int:

@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .burnside import _signed_sum
 from .nodal import SigmaConfig
 from .permgroup import Permutation, PermGroup, parse_permutation
 from .presets import resolve_group
@@ -355,10 +357,6 @@ def det3(A: Matrix) -> QuadExt:
     return A[0][0] * x + A[0][1] * y + A[0][2] * z
 
 
-def transpose(A: Matrix) -> Matrix:
-    return tuple(zip(*A))
-
-
 def rref(rows: Sequence[Vec]):
     """Reduced row echelon form; returns (rows, pivot column list)."""
     matrix = [list(row) for row in rows]
@@ -536,10 +534,7 @@ def _form_to_string(coeffs: Vec, names: Sequence[str]) -> str:
         else:
             term = f"{_coeff_str(c)}*{name}"
         parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
+    return _signed_sum(parts)
 
 
 def conic_to_string(conic: Conic) -> str:
@@ -599,7 +594,7 @@ def pencil_invariant(rep: Mapping[Permutation, Matrix], f: Conic, g: Conic) -> b
     if rank(span) != 2:
         raise ValueError("f and g do not span a pencil")
     for M in rep.values():
-        S = sym2(transpose(M))
+        S = sym2(tuple(zip(*M)))
         if rank(span + [mat_vec(S, v) for v in span]) != 2:
             return False
     return True
@@ -687,12 +682,10 @@ def nodal_members(f: Conic, g: Conic) -> list:
     ints = [int(c * denominator) for c in rational]
     degree = max(i for i, c in enumerate(ints) if c != 0)
     members = []
-    for root in sorted(set(_rational_roots(ints))):
-        mu, lam = Fraction(1), root
-        coeffs = tuple(
-            qe(mu) * cf + qe(lam) * cg for cf, cg in zip(f.coeffs, g.coeffs)
-        )
-        members.append(((mu, lam), Conic(coeffs)))
+    for lam in sorted(set(_rational_roots(ints))):
+        scale = QuadExt(lam)
+        coeffs = tuple(cf + scale * cg for cf, cg in zip(f.coeffs, g.coeffs))
+        members.append(((Fraction(1), lam), Conic(coeffs)))
     if degree < 3:
         members.append(((Fraction(0), Fraction(1)), Conic(g.coeffs)))
     return members
@@ -706,16 +699,16 @@ def factor_degenerate(c: Conic) -> tuple:
     conic up to a scalar (checked).  Rank 3 input is rejected.
     """
     M = c.sym_matrix()
-    r = rank(list(M))
-    if r == 3:
+    kernel = kernel_basis(list(M), 3)
+    if not kernel:
         raise ValueError("conic is not degenerate")
-    if r == 1:
+    if len(kernel) == 2:  # rank 1
         row = next(row for row in M if any(not x.is_zero() for x in row))
         if not conic_from_lines(row, row).is_proportional(c):
             raise ArithmeticError("rank-1 factorization failed")
         return row, row
     # rank 2: restrict to a plane complementary to the singular point
-    p = kernel_basis(list(M), 3)[0]
+    p = kernel[0]
     e = identity_matrix(3)
     basis = next(
         (e[i], e[j]) for i, j in ((0, 1), (0, 2), (1, 2))
@@ -764,34 +757,26 @@ def _split_on_line(M: Matrix, u: Vec, v: Vec) -> tuple:
     return add_vec(scale_vec(r1, u), v), add_vec(scale_vec(r2, u), v)
 
 
-def _intersect_line_conic(line: Vec, conic: Conic) -> list:
-    """The two intersection points, possibly after one radical adjunction."""
-    pts = _split_on_line(conic.sym_matrix(), *kernel_basis([line], 3))
-    return [ProjPoint(pts[0]), ProjPoint(pts[1])]
-
-
 def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
     """The four base points of a general pencil, exactly.
 
     ``t`` = (mu, lambda) names a degenerate member mu*f + lambda*g and
     ``lines`` is its factorization (from ``factor_degenerate``).  Each
-    line is intersected with a member independent of it.  Raises
+    line is intersected with a member independent of it, possibly after
+    one radical adjunction (``_split_on_line``).  Raises
     NotGeneral with reason "common component", "repeated base point" or
     "three collinear" when the pencil is not general.
     """
     if lines[0] == lines[1]:
         raise NotGeneral("repeated base point")
-    other = g if t[1] == 0 else f
-    points = []
-    for line in lines:
-        points.extend(_intersect_line_conic(line, other))
+    M = (g if t[1] == 0 else f).sym_matrix()
+    points = [
+        ProjPoint(q) for line in lines for q in _split_on_line(M, *kernel_basis([line], 3))
+    ]
     if len(set(points)) != 4:
         raise NotGeneral("repeated base point")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                if collinear(points[i], points[j], points[k]):
-                    raise NotGeneral("three collinear")
+    if any(collinear(*triple) for triple in combinations(points, 3)):
+        raise NotGeneral("three collinear")
     for p in points:
         if not f(p).is_zero() or not g(p).is_zero():
             raise ArithmeticError("base point fails to satisfy the pencil exactly")

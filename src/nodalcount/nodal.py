@@ -19,7 +19,6 @@ from .permgroup import (
     PermGroup,
     Permutation,
     class_labels,
-    minimal_generating_set,
     orbit_and_stabilizer,
     subgroup_classes,
     subgroup_label,
@@ -124,7 +123,7 @@ class SigmaConfig:
             if not mult:
                 continue
             rep = classes[idx].representative
-            gens = ",".join(g.cycle_string() for g in minimal_generating_set(rep))
+            gens = ",".join(g.cycle_string() for g in rep.generators)
             body = f"[G/{gens}]" if gens else "[G]"
             terms.append(body if mult == 1 else f"{mult}{body}")
         return "+".join(terms) if terms else "0"

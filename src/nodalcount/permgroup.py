@@ -28,7 +28,6 @@ __all__ = [
     "class_index_of",
     "subgroup_label",
     "class_labels",
-    "minimal_generating_set",
     "orbit_and_stabilizer",
     "verify_action",
 ]
@@ -66,21 +65,6 @@ class Permutation:
     @classmethod
     def identity(cls) -> "Permutation":
         return _trusted((0, 1, 2, 3))
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        """Build a permutation from 0-based cycles, rightmost cycle applied first."""
-        result = cls.identity()
-        for cycle in cycles:
-            if len(set(cycle)) != len(cycle):
-                raise ValueError(f"repeated point in cycle {cycle!r}")
-            imgs = list(_POINTS)
-            for i, point in enumerate(cycle):
-                if not 0 <= point < 4:
-                    raise ValueError(f"point {point} out of range for degree 4")
-                imgs[point] = cycle[(i + 1) % len(cycle)]
-            result = result * cls(imgs)
-        return result
 
     def __call__(self, point: int) -> int:
         return self.images[point]
@@ -173,7 +157,17 @@ def parse_permutation(text: str) -> Permutation:
                 raise ValueError(f"point {tok} out of range in {text!r} for degree 4")
             points.append(point)
         cycles.append(points)
-    return Permutation.from_cycles(cycles)
+    # The product of the cycles, the rightmost applied first.  A cycle of
+    # distinct points in range is a bijection, so each factor is trusted.
+    result = Permutation.identity()
+    for cycle in cycles:
+        if len(set(cycle)) != len(cycle):
+            raise ValueError(f"repeated point in cycle {cycle!r}")
+        imgs = list(_POINTS)
+        for i, point in enumerate(cycle):
+            imgs[point] = cycle[(i + 1) % len(cycle)]
+        result = result * _trusted(tuple(imgs))
+    return result
 
 
 # S4, built once.  Its elements are numbered in image-tuple order, the
@@ -214,7 +208,8 @@ class PermGroup:
     ``_lattice`` builds the only instances, one per subgroup, so equality
     and hashing are identity.  Membership and containment read the mask;
     ``elements`` lists the members in image-tuple order, and
-    ``generators`` is the subgroup's label (see ``_lattice``).
+    ``generators`` is the subgroup's label, a smallest generating set
+    (see ``_lattice``), and () for the trivial group.
     """
 
     __slots__ = ("mask", "elements", "generators")
@@ -285,11 +280,6 @@ def all_subgroups(G: PermGroup) -> tuple:
     return tuple(H for H in _SUBGROUPS if not H.mask & ~G.mask)
 
 
-def minimal_generating_set(G: PermGroup) -> tuple:
-    """A smallest generating set, chosen deterministically; () for the trivial group."""
-    return G.generators
-
-
 class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups: canonical representative plus all members."""
 
@@ -340,7 +330,7 @@ def subgroup_label(H: PermGroup, ambient: PermGroup | None = None) -> str:
     """Short display name: "G" for the ambient group itself, else "<gens>"."""
     if H is ambient:
         return "G"
-    gens = ",".join(g.cycle_string() for g in minimal_generating_set(H))
+    gens = ",".join(g.cycle_string() for g in H.generators)
     return f"<{gens or '()'}>"
 
 

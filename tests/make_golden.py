@@ -34,8 +34,18 @@ def golden_argvs() -> list:
     commands += [["counterexample", "d8", "--case", str(k)] for k in range(1, 10)]
     commands.append(["theorem-sweep"])
     # The labels of the parametrised pencils 8 and 9 away from c = d = 1.
-    for params in (["--c=3/2", "--d=-5"], ["--a=-1", "--b=-1", "--c=-7/3", "--d=2"]):
+    # Mixed signs put lines and base points in Q(sqrt(210)) and Q(sqrt(105)).
+    for params in (
+        ["--c=3/2", "--d=-5"],
+        ["--a=-1", "--b=-1", "--c=-7/3", "--d=2"],
+        ["--a=1", "--b=-1", "--c=5/3", "--d=-7"],
+        ["--a=-1", "--b=1", "--c=5/3", "--d=-7"],
+    ):
         commands += [["counterexample", "d8", *params, "--case", k] for k in "89"]
+    # The not-general report of pencils 1-7 at the other sign pair.
+    commands += [
+        ["counterexample", "d8", "--a=-1", "--b=-1", "--case", str(k)] for k in range(1, 8)
+    ]
     return [["--format", fmt, *cmd] for fmt in ("text", "json") for cmd in commands]
 
 
@@ -48,13 +58,27 @@ def capture(argv: list) -> tuple:
 
 
 def main_regenerate() -> int:
+    stored = {}
+    if GOLDEN.exists():
+        for record in json.loads(GOLDEN.read_text(encoding="utf-8")):
+            stored[tuple(record["argv"])] = record
     records = []
+    changed = added = 0
     for argv in golden_argvs():
         code, stdout = capture(argv)
-        records.append({"argv": argv, "exit": code, "stdout": stdout})
+        record = {"argv": argv, "exit": code, "stdout": stdout}
+        old = stored.get(tuple(argv))
+        if old is None:
+            added += 1
+        elif old != record:
+            changed += 1
+        records.append(record)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} transcripts to {GOLDEN}")
+    print(
+        f"wrote {len(records)} transcripts to {GOLDEN}: "
+        f"{changed} changed, {added} added"
+    )
     return 0
 
 

@@ -504,3 +504,24 @@ def test_json_rendering():
         {"class": "G", "n": -1},
     ]
     assert "[G/<(12)(34)>]" in x.render()
+
+
+@pytest.mark.parametrize("name", PRESET_ORDER)
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_render_is_the_signed_sum_of_the_json_terms(name, data):
+    # Text and JSON carry the same numbers: the text is the JSON's (n, class)
+    # terms written "n*[G/class]" and joined by " + ", except that a later
+    # negative term gives its minus sign to the operator; "0" for no terms.
+    G = resolve_group(name)
+    n = len(subgroup_classes(G))
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    for x in (BurnsideElement(G, tuple(coeffs)), BurnsideElement.zero(G)):
+        text = ""
+        for i, term in enumerate(x.to_json()["coeffs"]):
+            body = f"{abs(term['n'])}*[G/{term['class']}]"
+            if i == 0:
+                text = f"-{body}" if term["n"] < 0 else body
+            else:
+                text += f" - {body}" if term["n"] < 0 else f" + {body}"
+        assert x.render() == (text or "0")
