@@ -212,8 +212,7 @@ def be_equal(x: BurnsideElement, y: BurnsideElement):
     Returns (equal, witnesses) where witnesses lists (class_index, mark_x,
     mark_y) for every subgroup class at which the marks disagree.
     """
-    if x.ambient != y.ambient:
-        raise ValueError("Burnside elements live over different ambient groups")
+    x._check_ambient(y)
     mx = x.mark_vector()
     my = y.mark_vector()
     witnesses = tuple(

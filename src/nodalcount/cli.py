@@ -147,7 +147,7 @@ def _load_sweep_golden() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_marks(args) -> int:
+def cmd_marks(args) -> tuple:
     G = _group(args)
     marks = table_of_marks(G)
     labels = class_labels(G)
@@ -172,25 +172,19 @@ def cmd_marks(args) -> int:
         "classes": list(labels),
         "marks": [list(row) for row in marks],
     }
-    _emit(args, "\n".join(lines), payload)
-    return 0
+    return "\n".join(lines), payload, 0
 
 
-def cmd_verify(args) -> int:
-    G = _group(args)
-    sigma = parse_sigma_spec(args.sigma, G)
-    report = nodal.verify(sigma)
-    _emit(args, report.render_text(args.group), report.to_json(args.group))
-    return 0 if report.equal else 1
+def cmd_verify(args) -> tuple:
+    report = nodal.verify(parse_sigma_spec(args.sigma, _group(args)))
+    return report.render_text(args.group), report.to_json(args.group), 0 if report.equal else 1
 
 
-def cmd_verify_all(args) -> int:
-    G = _group(args)
-    reports = nodal.verify_all(G)
+def cmd_verify_all(args) -> tuple:
+    reports = nodal.verify_all(_group(args))
     blocks = [r.render_text(args.group) for r in reports]
     payload = {"group": args.group, "reports": [r.to_json(args.group) for r in reports]}
-    _emit(args, "\n\n".join(blocks), payload)
-    return 0 if all(r.equal for r in reports) else 1
+    return "\n\n".join(blocks), payload, 0 if all(r.equal for r in reports) else 1
 
 
 def _expanded_table(report: nodal.VerificationReport):
@@ -203,19 +197,6 @@ def _expanded_table(report: nodal.VerificationReport):
         for member in cls.members:
             rows.append((subgroup_label(member, ambient=G), lhs_mark, rhs_mark))
     return rows
-
-
-def _render_counterexample(args, label, analysis, report):
-    try:
-        text, payload = _counterexample_report(args, label, analysis, report)
-    except ValueError as exc:
-        # str() refuses an int longer than sys.get_int_max_str_digits(); a
-        # nodal parameter or coefficient derived from c and d can be one.
-        if "integer string conversion" not in str(exc):
-            raise
-        limit = sys.get_int_max_str_digits()
-        raise CliError(f"a number in the result has more than {limit} digits") from None
-    _emit(args, text, payload)
 
 
 def _counterexample_report(args, label, analysis, report):
@@ -247,7 +228,7 @@ def _counterexample_report(args, label, analysis, report):
     return "\n".join(lines), payload
 
 
-def cmd_counterexample(args) -> int:
+def cmd_counterexample(args) -> tuple:
     if args.target == "klein":
         case = klein_counterexample()
         label = "klein pencil through the orbit of [1:2:3]"
@@ -265,15 +246,13 @@ def cmd_counterexample(args) -> int:
         analysis = analyze_pencil(case)
     except NotGeneral as exc:
         text = f"pencil: {label}\nnot general: {exc.reason}"
-        payload = {"pencil": label, "general": False, "reason": exc.reason}
-        _emit(args, text, payload)
-        return 1 if general else 0
+        return text, {"pencil": label, "general": False, "reason": exc.reason}, int(general)
     report = nodal.verify(analysis.sigma)
-    _render_counterexample(args, label, analysis, report)
-    return 0 if general and not report.equal else 1
+    text, payload = _counterexample_report(args, label, analysis, report)
+    return text, payload, 0 if general and not report.equal else 1
 
 
-def cmd_theorem_sweep(args) -> int:
+def cmd_theorem_sweep(args) -> tuple:
     golden = {entry["group"]: entry["configs"] for entry in _load_sweep_golden()["groups"]}
     lines = []
     payload_groups = []
@@ -292,9 +271,7 @@ def cmd_theorem_sweep(args) -> int:
         ]
         match = observed == expected
         all_match = all_match and match
-        cells = " ".join(
-            f"{r.sigma.sigma_string()}={'T' if r.equal else 'F'}" for r in reports
-        )
+        cells = " ".join(f"{o['sigma']}={'T' if o['equal'] else 'F'}" for o in observed)
         status = "ok" if match else "DRIFT"
         lines.append(f"{name:8s} [{status}] {cells}")
         payload_groups.append(
@@ -303,8 +280,7 @@ def cmd_theorem_sweep(args) -> int:
     summary = "all groups match the golden table" if all_match else "drift detected"
     lines.append(summary)
     payload = {"groups": payload_groups, "matches_golden": all_match}
-    _emit(args, "\n".join(lines), payload)
-    return 0 if all_match else 1
+    return "\n".join(lines), payload, 0 if all_match else 1
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("counterexample", help="run a geometric counterexample pipeline")
-    p.add_argument("target", choices=("klein", "d8"))
+    p.set_defaults(func=cmd_counterexample)
+    targets = p.add_subparsers(dest="target", required=True)
+    targets.add_parser("klein", help="the pencil through the Klein orbit of [1:2:3]")
+    p = targets.add_parser("d8", help="one of the nine dihedral pencils")
     p.add_argument("--a", type=_sign, default=1)
     p.add_argument("--b", type=_sign, default=1)
     for name in ("c", "d"):
@@ -374,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"nonzero rational, e.g. 3/2; give a negative fraction as --{name}=-7/3",
         )
     p.add_argument("--case", type=int, choices=range(1, 10), default=8)
-    p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser(
         "theorem-sweep",
@@ -389,10 +367,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, payload, code = args.func(args)
+        _emit(args, text, payload)
+        return code
     except (CliError, NotGeneral, IrrationalNodalParameter, FieldExtensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except ValueError as exc:
+        # str() refuses an int longer than sys.get_int_max_str_digits(); a
+        # nodal parameter or coefficient derived from c and d can be one.
+        if "integer string conversion" not in str(exc):
+            raise
+        message = f"a number in the result has more than {sys.get_int_max_str_digits()} digits"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .burnside import _signed_sum
 from .nodal import SigmaConfig
-from .permgroup import Permutation, PermGroup, parse_permutation
-from .presets import resolve_group
+from .permgroup import Permutation, PermGroup, generate_group, parse_permutation
 
 __all__ = [
     "QuadExt",
@@ -331,8 +330,12 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
+def _dot(u: Vec, v: Vec) -> QuadExt:
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
 def mat_vec(A: Matrix, v: Vec) -> Vec:
-    return tuple(sum((A[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(A)))
+    return tuple(_dot(row, v) for row in A)
 
 
 def scale_vec(c: QuadExt, v: Vec) -> Vec:
@@ -353,8 +356,7 @@ def cross(u: Vec, v: Vec) -> Vec:
 
 
 def det3(A: Matrix) -> QuadExt:
-    x, y, z = cross(A[1], A[2])
-    return A[0][0] * x + A[0][1] * y + A[0][2] * z
+    return _dot(A[0], cross(A[1], A[2]))
 
 
 def rref(rows: Sequence[Vec]):
@@ -467,9 +469,7 @@ class Conic:
         self.coeffs = cs
 
     def __call__(self, p: ProjPoint) -> QuadExt:
-        return sum(
-            (c * m for c, m in zip(self.coeffs, _monomial_row(p))), ZERO
-        )
+        return _dot(self.coeffs, _monomial_row(p))
 
     def sym_matrix(self) -> Matrix:
         """Symmetric matrix; an off-diagonal entry is half the paired coefficient."""
@@ -680,13 +680,12 @@ def nodal_members(f: Conic, g: Conic) -> list:
         raise NotGeneral("common component")
     denominator = math.lcm(*(c.denominator for c in rational))
     ints = [int(c * denominator) for c in rational]
-    degree = max(i for i, c in enumerate(ints) if c != 0)
     members = []
     for lam in sorted(set(_rational_roots(ints))):
         scale = QuadExt(lam)
         coeffs = tuple(cf + scale * cg for cf, cg in zip(f.coeffs, g.coeffs))
         members.append(((Fraction(1), lam), Conic(coeffs)))
-    if degree < 3:
+    if ints[3] == 0:
         members.append(((Fraction(0), Fraction(1)), Conic(g.coeffs)))
     return members
 
@@ -725,20 +724,13 @@ def factor_degenerate(c: Conic) -> tuple:
 def _split_on_line(M: Matrix, u: Vec, v: Vec) -> tuple:
     """The two zeros of the quadratic form M on the line through u and v.
 
-    Writes the restriction as alpha s^2 + beta s t + gamma t^2 at s*u + t*v
-    and splits it, adjoining at most one radical.  Raises NotGeneral when
-    the restriction vanishes ("common component") or has a double zero
-    ("repeated base point").
+    Writes the restriction at s*u + t*v as alpha s^2 + beta s t + gamma t^2,
+    read off M u and M v, and splits it, adjoining at most one radical.
+    Raises NotGeneral when the restriction vanishes ("common component")
+    or has a double zero ("repeated base point").
     """
-
-    def bilinear(w1, w2):
-        return sum(
-            (w1[i] * M[i][j] * w2[j] for i in range(3) for j in range(3)), ZERO
-        )
-
-    alpha = bilinear(u, u)
-    beta = 2 * bilinear(u, v)
-    gamma = bilinear(v, v)
+    Mu, Mv = mat_vec(M, u), mat_vec(M, v)
+    alpha, beta, gamma = _dot(u, Mu), 2 * _dot(u, Mv), _dot(v, Mv)
     if alpha.is_zero() and beta.is_zero() and gamma.is_zero():
         raise NotGeneral("common component")
     if alpha.is_zero() and gamma.is_zero():
@@ -834,17 +826,16 @@ def induced_sigma(
     return SigmaConfig.from_action(G, point_action)
 
 
-def _hom_from_generators(
-    G: PermGroup, images: Mapping[Permutation, Matrix]
-) -> Mapping[Permutation, Matrix]:
-    """Extend generator images to the whole group, checking every generator edge.
+def _hom_from_generators(images: Mapping[Permutation, Matrix]) -> tuple:
+    """The group the generators close to, and their images extended to it.
 
     A breadth-first walk from the identity visits each edge (x, s): it
     defines table[x*s] = table[x] * images[s] or checks that product
     against the matrix already there.  A table consistent on every edge
-    is a homomorphism, because every element is a word in the generators.
-    The table comes back read-only, since the cached representations
-    share it with every PencilCase built on them.
+    is a homomorphism, because every element is a word in the generators,
+    and its keys are the elements of ``generate_group`` of them.  The table
+    comes back read-only, since the cached representations share it with
+    every PencilCase built on them.
     """
     identity = Permutation.identity()
     table = {identity: identity_matrix(3)}
@@ -858,9 +849,7 @@ def _hom_from_generators(
                 queue.append(xs)
             elif table[xs] != product:
                 raise ValueError("generator images do not extend to a homomorphism")
-    if set(table) != set(G.elements):
-        raise ValueError("generator images do not generate the group")
-    return MappingProxyType(table)
+    return generate_group(images), MappingProxyType(table)
 
 
 class PencilCase(NamedTuple):
@@ -935,12 +924,11 @@ def d8_representation(a: int, b: int):
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
-    G = resolve_group("D8")
     images = {
         parse_permutation("(1234)"): mat([[0, -1, 0], [1, 0, 0], [0, 0, a]]),
         parse_permutation("(13)"): mat([[1, 0, 0], [0, -1, 0], [0, 0, b]]),
     }
-    return G, _hom_from_generators(G, images)
+    return _hom_from_generators(images)
 
 
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
@@ -989,12 +977,11 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices, built once;
     the matrix table is a read-only mapping that every caller shares."""
-    G = resolve_group("V")
     images = {
         parse_permutation("(12)(34)"): mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
         parse_permutation("(13)(24)"): mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
     }
-    return G, _hom_from_generators(G, images)
+    return _hom_from_generators(images)
 
 
 def klein_counterexample() -> PencilCase:

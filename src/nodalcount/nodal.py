@@ -152,10 +152,7 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
     for idx in multiset:
         H = classes[idx].representative
         cosets = G.left_cosets(H)
-        where = {}
-        for j, coset in enumerate(cosets):
-            for elem in coset:
-                where[elem] = j
+        where = {elem: j for j, coset in enumerate(cosets) for elem in coset}
         for g in G.elements:
             for j, coset in enumerate(cosets):
                 images[g].append(offset + where[g * coset[0]])
@@ -207,7 +204,7 @@ class NodalOrbitReport(NamedTuple):
     def to_json(self) -> dict:
         return {
             "representative": self.representative.label(),
-            "orbit": [p.label() for p in sorted(self.orbit)],
+            "orbit": [p.label() for p in self.orbit],
             "stabilizer": subgroup_label(self.stabilizer),
             "branch_set": self.branch_set.to_json(),
             "weight": self.weight.to_json(),
@@ -310,16 +307,11 @@ def verify(sigma: SigmaConfig) -> VerificationReport:
     """Compare the summed orbit weights against [Sigma] - {*}, mark by mark."""
     G = sigma.ambient
     reports = nodal_orbit_reports(sigma)
-    lhs = BurnsideElement.zero(G)
-    for rep in reports:
-        lhs = lhs + rep.weight
+    lhs = sum((rep.weight for rep in reports), BurnsideElement.zero(G))
     rhs = sigma.decomposition - BurnsideElement.point(G)
     equal, witnesses = be_equal(lhs, rhs)
-    lhs_marks = lhs.mark_vector()
-    rhs_marks = rhs.mark_vector()
-    table = tuple(
-        (idx, lhs_marks[idx], rhs_marks[idx]) for idx in range(len(lhs_marks))
-    )
+    marks = zip(lhs.mark_vector(), rhs.mark_vector())
+    table = tuple((idx, lm, rm) for idx, (lm, rm) in enumerate(marks))
     return VerificationReport(
         G, sigma, tuple(reports), lhs, rhs, equal, witnesses, table
     )

@@ -84,26 +84,18 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
-        """Render in compact cycle notation, such as "(12)(34)"."""
-        cycles = []
-        seen = set()
+        """Render in compact cycle notation, such as "(12)(34)": each cycle
+        starts at its least point, and fixed points are left out."""
+        text, seen = "", set()
         for start in _POINTS:
-            if start in seen or self.images[start] == start:
-                seen.add(start)
-                continue
-            cycle = [start]
-            seen.add(start)
-            j = self.images[start]
-            while j != start:
-                cycle.append(j)
+            cycle, j = "", start
+            while j not in seen:
                 seen.add(j)
+                cycle += str(j + 1)
                 j = self.images[j]
-            cycles.append(cycle)
-        if not cycles:
-            return "()"
-        return "".join(
-            "(" + "".join(str(p + 1) for p in cycle) + ")" for cycle in cycles
-        )
+            if len(cycle) > 1:
+                text += f"({cycle})"
+        return text or "()"
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

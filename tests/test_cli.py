@@ -129,6 +129,16 @@ class TestCommands:
         assert "equal: false" in out
         assert "[1:2:3]" in out
 
+    @pytest.mark.parametrize("option", ["--a=-1", "--b=-1", "--c=99", "--d=2", "--case=3"])
+    def test_counterexample_klein_takes_no_d8_option(self, capsys, option):
+        # The d8 options belong to the d8 target; klein rejects each of them
+        # with argparse's usage error instead of ignoring it.
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "klein", option])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: {option}" in captured.err
+
     def test_counterexample_d8_case8(self, capsys):
         code, out = run(capsys, "counterexample", "d8", "--case", "8")
         assert code == 0

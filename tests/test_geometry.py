@@ -623,15 +623,23 @@ class TestRepresentations:
         # commutes with the rotation, so F R F = R, not R^-1
         reflection = mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
         with pytest.raises(ValueError, match="do not extend"):
-            _hom_from_generators(
-                resolve_group("D8"),
-                {perm("(1234)"): rotation, perm("(13)"): reflection},
-            )
+            _hom_from_generators({perm("(1234)"): rotation, perm("(13)"): reflection})
 
-    def test_images_of_too_few_generators_are_rejected(self):
+    def test_representations_act_through_the_named_groups(self):
+        # The group comes from closing the generator images, so each
+        # representation must close to the preset it claims to be.
+        for a in (1, -1):
+            for b in (1, -1):
+                G, rep = d8_representation(a, b)
+                assert G is resolve_group("D8")
+                assert set(rep) == set(G.elements)
+        G, rep = klein_representation()
+        assert G is resolve_group("V")
+        assert set(rep) == set(G.elements)
         rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-        with pytest.raises(ValueError, match="do not generate the group"):
-            _hom_from_generators(resolve_group("D8"), {perm("(1234)"): rotation})
+        G, rep = _hom_from_generators({perm("(1234)"): rotation})
+        assert G is resolve_group("Z4")
+        assert len(rep) == 4
 
     def test_d8_action_table_for_plus_plus(self):
         # with both signs +1 the action on [1:1:w], w = i*sqrt(2), reads:

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -35,6 +36,23 @@ class TestPermutation:
     def test_roundtrip(self):
         for text in ["(12)", "(123)", "(1234)", "(12)(34)", "(13)(24)", "()"]:
             assert perm(text).cycle_string() == text
+        elements = resolve_group("S4").elements
+        assert len(elements) == 24
+        for p in elements:
+            text = p.cycle_string()
+            assert parse_permutation(text) == p
+            if p.is_identity():
+                assert text == "()"
+                continue
+            # cycles ascending by least point, each starting there, and
+            # every moved point in exactly one cycle of length 2 or more
+            cycles = [[int(c) - 1 for c in body] for body in re.findall(r"\((\d+)\)", text)]
+            assert "".join(f"({''.join(str(i + 1) for i in c)})" for c in cycles) == text
+            assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+            assert all(len(c) >= 2 for c in cycles)
+            assert sorted(i for c in cycles for i in c) == [i for i in range(4) if p(i) != i]
+            for c in cycles:
+                assert [p(i) for i in c] == c[1:] + c[:1]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
