@@ -254,9 +254,9 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
 
 
 def inflate(G: PermGroup, H: PermGroup, x: BurnsideElement) -> BurnsideElement:
-    """Inflation along H <= G: the coefficient of [H/K] moves to [G/K].
-
-    Linear in x, so virtual elements inflate term by term.
+    """Induction Ind_H^G along H <= G: G x_H (H/K) = G/K, so the coefficient
+    of [H/K] moves to [G/K].  Linear in x, so virtual elements induce term by
+    term.  Inflation is another map, the pull-back along a quotient G -> G/N.
     """
     if x.ambient != H:
         raise ValueError("element to inflate must live over the given subgroup")

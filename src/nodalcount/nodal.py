@@ -2,19 +2,20 @@
 
 A 4-point G-set determines three ways to pair the points into two blocks;
 each pairing is the combinatorial shadow of a degenerate member of the
-pencil (a pair of lines), and its two blocks are the branches.  For every
-orbit of pairings we form a weight in the Burnside ring (inflate the
-virtual branch set [X] - {*} from the stabilizer), sum the weights, and
-compare against [Sigma] - {*} mark by mark.  The comparison is reported,
-not assumed: the verifier prints the full fixed-point table either way.
+pencil (a pair of lines), and its two blocks are the branches.  A pairing
+is its pair of sorted blocks.  For every orbit of pairings we form a
+weight in the Burnside ring (induce the virtual branch set [X] - {*} from
+the stabilizer), sum the weights, and compare against [Sigma] - {*} mark
+by mark.  The comparison is reported, not assumed: the verifier prints
+the full fixed-point table either way.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .burnside import BurnsideElement, be_equal, decompose, inflate
+from .burnside import BurnsideElement, decompose, inflate
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -26,8 +27,8 @@ from .permgroup import (
 )
 
 __all__ = [
-    "Pairing",
     "ALL_PAIRINGS",
+    "pairing_label",
     "SigmaConfig",
     "enumerate_sigma_configs",
     "sigma_from_classes",
@@ -41,37 +42,25 @@ __all__ = [
 ]
 
 
-class Pairing(NamedTuple):
-    """A partition of {0,1,2,3} into two unordered blocks of two."""
+ALL_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
-    blocks: tuple
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int, d: int) -> "Pairing":
-        if sorted((a, b, c, d)) != [0, 1, 2, 3]:
-            raise ValueError("a pairing must partition {0,1,2,3}")
-        first = tuple(sorted((a, b)))
-        second = tuple(sorted((c, d)))
-        return cls(tuple(sorted((first, second))))
-
-    def apply(self, perm: Permutation) -> "Pairing":
-        (a, b), (c, d) = self.blocks
-        return Pairing.of(perm(a), perm(b), perm(c), perm(d))
-
-    def label(self) -> str:
-        """1-based display such as "12|34"."""
-        (a, b), (c, d) = self.blocks
-        return f"{a + 1}{b + 1}|{c + 1}{d + 1}"
-
-    def __repr__(self) -> str:
-        return f"Pairing({self.label()})"
+# How S4 permutes the three pairings, built once: for each permutation's
+# images, the index in ALL_PAIRINGS of the image of each pairing.
+_PAIRING_IMAGES = {
+    images: tuple(
+        ALL_PAIRINGS.index(
+            tuple(sorted(tuple(sorted(images[i] for i in block)) for block in pairing))
+        )
+        for pairing in ALL_PAIRINGS
+    )
+    for images in permutations(range(4))
+}
 
 
-ALL_PAIRINGS = (
-    Pairing.of(0, 1, 2, 3),
-    Pairing.of(0, 2, 1, 3),
-    Pairing.of(0, 3, 1, 2),
-)
+def pairing_label(pairing: tuple) -> str:
+    """1-based display such as "12|34"."""
+    (a, b), (c, d) = pairing
+    return f"{a + 1}{b + 1}|{c + 1}{d + 1}"
 
 
 class SigmaConfig:
@@ -183,11 +172,11 @@ def enumerate_sigma_configs(G: PermGroup) -> list:
 
 
 def pairing_action(sigma: SigmaConfig) -> Callable:
-    """The induced left action of G on the three pairings."""
+    """The induced left action of G on the three pairings, read off the S4 table."""
     table = {
-        (g, pairing): pairing.apply(perm)
+        (g, pairing): ALL_PAIRINGS[k]
         for g, perm in sigma.point_action.items()
-        for pairing in ALL_PAIRINGS
+        for pairing, k in zip(ALL_PAIRINGS, _PAIRING_IMAGES[perm.images])
     }
     return lambda g, pairing: table[(g, pairing)]
 
@@ -195,7 +184,7 @@ def pairing_action(sigma: SigmaConfig) -> Callable:
 class NodalOrbitReport(NamedTuple):
     """One orbit of pairings with its stabilizer, branch set and weight."""
 
-    representative: Pairing
+    representative: tuple
     orbit: tuple
     stabilizer: PermGroup
     branch_set: BurnsideElement
@@ -203,8 +192,8 @@ class NodalOrbitReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "representative": self.representative.label(),
-            "orbit": [p.label() for p in self.orbit],
+            "representative": pairing_label(self.representative),
+            "orbit": [pairing_label(p) for p in self.orbit],
             "stabilizer": subgroup_label(self.stabilizer),
             "branch_set": self.branch_set.to_json(),
             "weight": self.weight.to_json(),
@@ -212,7 +201,7 @@ class NodalOrbitReport(NamedTuple):
 
 
 def nodal_orbit_reports(sigma: SigmaConfig) -> list:
-    """Orbit-by-orbit weights: inflate([branches] - {*}) from each stabilizer.
+    """Orbit-by-orbit weights: Ind([branches] - {*}) from each stabilizer.
 
     The representative is the lexicographically least pairing of its
     orbit: ALL_PAIRINGS is sorted, so the first pairing not in an orbit
@@ -234,7 +223,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
             perm = sigma.point_action[h]
             return tuple(sorted(perm(i) for i in block))
 
-        branch_be = decompose(stab, rep.blocks, act_on_block)
+        branch_be = decompose(stab, rep, act_on_block)
         weight = inflate(G, stab, branch_be - BurnsideElement.point(stab))
         reports.append(
             NodalOrbitReport(rep, tuple(sorted(orbit)), stab, branch_be, weight)
@@ -272,9 +261,9 @@ class VerificationReport(NamedTuple):
             "orbits:",
         ]
         for rep in self.orbit_reports:
-            orbit = ", ".join(p.label() for p in rep.orbit)
+            orbit = ", ".join(pairing_label(p) for p in rep.orbit)
             lines.append(
-                f"  {rep.representative.label()}: orbit {{{orbit}}}, "
+                f"  {pairing_label(rep.representative)}: orbit {{{orbit}}}, "
                 f"stab {subgroup_label(rep.stabilizer, ambient=self.group)}, "
                 f"weight {rep.weight.render()}"
             )
@@ -309,11 +298,11 @@ def verify(sigma: SigmaConfig) -> VerificationReport:
     reports = nodal_orbit_reports(sigma)
     lhs = sum((rep.weight for rep in reports), BurnsideElement.zero(G))
     rhs = sigma.decomposition - BurnsideElement.point(G)
-    equal, witnesses = be_equal(lhs, rhs)
     marks = zip(lhs.mark_vector(), rhs.mark_vector())
     table = tuple((idx, lm, rm) for idx, (lm, rm) in enumerate(marks))
+    witnesses = tuple(row for row in table if row[1] != row[2])
     return VerificationReport(
-        G, sigma, tuple(reports), lhs, rhs, equal, witnesses, table
+        G, sigma, tuple(reports), lhs, rhs, not witnesses, witnesses, table
     )
 
 

@@ -1,8 +1,9 @@
 """Test-only oracles: concrete G-set constructions checked against the ring,
 brute-force subgroup searches checked against ``permgroup``, the mark
-defect of ``verify``'s table counted from the definitions, the D8
-invariant-subspace structure the dihedral pencils are spanned from, and a
-deadline for checks that must not hang.
+defect of ``verify``'s table counted from the definitions, restriction
+to a subgroup read off marks, a change of coordinates on conics, the D8
+invariant-subspace structure the dihedral pencils are spanned from, and
+a deadline for checks that must not hang.
 
 Each G-set oracle builds a literal G-set as a (group, points, action)
 triple, so ``decompose`` of it is an answer that the Burnside-ring
@@ -15,11 +16,15 @@ import signal
 from contextlib import contextmanager
 from itertools import combinations
 
+from nodalcount.burnside import BurnsideElement, _coeffs_from_marks
 from nodalcount.geometry import (
     _D8_CONICS,
     ZERO,
+    Conic,
     d8_representation,
+    identity_matrix,
     kernel_basis,
+    mat_mul,
     mat_vec,
     qe,
     rank,
@@ -27,7 +32,13 @@ from nodalcount.geometry import (
     sym2,
     vec,
 )
-from nodalcount.permgroup import PermGroup, Permutation, parse_permutation
+from nodalcount.permgroup import (
+    PermGroup,
+    Permutation,
+    class_index_of,
+    parse_permutation,
+    subgroup_classes,
+)
 
 
 @contextmanager
@@ -77,6 +88,19 @@ def inflate_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
             j, h = split[g * reps[i]]
             action[(g, (i, x))] = (j, act(h, x))
     return G, points, lambda g, p: action[(g, p)]
+
+
+def restrict_by_marks(x: BurnsideElement, H: PermGroup) -> BurnsideElement:
+    """Res_H^G x for H <= G, computed from marks.
+
+    The mark of Res x at K <= H is x's mark at the class of K in G; the
+    coefficients over H come back by integer back-substitution against
+    H's table of marks.
+    """
+    G = x.ambient
+    marks = x.mark_vector()
+    res = [marks[class_index_of(G, cls.representative)] for cls in subgroup_classes(H)]
+    return BurnsideElement(H, _coeffs_from_marks(H, res))
 
 
 def product_gset(S: tuple, T: tuple) -> tuple:
@@ -165,6 +189,25 @@ def has_klein_four(H) -> bool:
     involutions a, b, that is the Klein four-subgroup {1, a, b, ab}."""
     involutions = [h for h in H if not h.is_identity() and (h * h).is_identity()]
     return any(a * b == b * a for a, b in combinations(involutions, 2))
+
+
+def mat_inverse(M):
+    """The inverse of an invertible square matrix, read off ``rref`` of [M | I]."""
+    n = len(M)
+    reduced, pivots = rref([tuple(row) + e for row, e in zip(M, identity_matrix(n))])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
+
+
+def transform_conic(conic: Conic, P_inv) -> Conic:
+    """The image of a conic under x -> P x: A' = P^-T A P^-1, given P^-1.
+
+    A point y = P x lies on A' exactly when x lies on A, since
+    y^T A' y = x^T A x.  Off-diagonal entries of A' are half coefficients.
+    """
+    A = mat_mul(mat_mul(tuple(zip(*P_inv)), conic.sym_matrix()), P_inv)
+    return Conic((A[0][0], A[1][1], A[2][2], 2 * A[1][2], 2 * A[0][2], 2 * A[0][1]))
 
 
 def span_equal(rows_a, rows_b) -> bool:

@@ -57,6 +57,7 @@ from nodalcount.nodal import (
     enumerate_sigma_configs,
     nodal_orbit_reports,
     pairing_action,
+    pairing_label,
     verify,
     verify_all,
 )
@@ -645,7 +646,7 @@ def test_criterion_9_weight_well_definedness():
                     stab = generate_group(stab_elems)
                     branch = bdecompose(
                         stab,
-                        other.blocks,
+                        other,
                         lambda h, blk: tuple(
                             sorted(sigma.point_action[h](i) for i in blk)
                         ),
@@ -654,7 +655,9 @@ def test_criterion_9_weight_well_definedness():
                         G, stab, branch - BurnsideElement.point(stab)
                     )
                     if weight != report.weight:
-                        failures.append((name, sigma.sigma_string(), other.label()))
+                        failures.append(
+                            (name, sigma.sigma_string(), pairing_label(other))
+                        )
     check(
         "9",
         "orbit weights are independent of the chosen representative",

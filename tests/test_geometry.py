@@ -26,6 +26,7 @@ from nodalcount.geometry import (
     conic_to_string,
     d8_case_suite,
     d8_representation,
+    det3,
     factor_degenerate,
     field_sqrt,
     identity_matrix,
@@ -49,7 +50,13 @@ from nodalcount.permgroup import (
     parse_permutation,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import d8_invariant_structure, deadline, span_equal
+from oracles import (
+    d8_invariant_structure,
+    deadline,
+    mat_inverse,
+    span_equal,
+    transform_conic,
+)
 
 
 PRIME = 10**9 + 7
@@ -882,6 +889,38 @@ def test_pencils_8_and_9_are_invariant_and_general(signs, c, d):
         images = {s: case.rep[s] for s in case.group.generators}
         assert pencil_invariant(images, case.f, case.g)
         analyze_pencil(case)  # raises NotGeneral unless general
+
+
+invertible_integer_matrix = (
+    st.lists(st.integers(-5, 5), min_size=9, max_size=9)
+    .map(lambda xs: mat([xs[0:3], xs[3:6], xs[6:9]]))
+    .filter(lambda P: not det3(P).is_zero())
+)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(invertible_integer_matrix, nonzero_height_99, nonzero_height_99)
+def test_a_change_of_coordinates_changes_no_count(P, c, d):
+    # x -> P x carries a G-invariant pencil to a pencil invariant under
+    # the conjugate representation P M P^-1: the base points move by P, the
+    # determinant cubic only gains the factor det(P^-1)^2, and the point
+    # action is the same up to the order in which base points are found.
+    with deadline(10):
+        P_inv = mat_inverse(P)
+        cases = [klein_counterexample()] + [
+            case
+            for signs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+            for case in d8_case_suite(*signs, c, d)[7:]
+        ]
+        for case in cases:
+            rep = {g: mat_mul(mat_mul(P, M), P_inv) for g, M in case.rep.items()}
+            f, g = (transform_conic(q, P_inv) for q in (case.f, case.g))
+            before = analyze_pencil(case)
+            after = analyze_pencil(PencilCase(case.label, case.group, rep, f, g))
+            assert after.sigma.decomposition == before.sigma.decomposition
+            assert verify(after.sigma).table == verify(before.sigma).table
+            assert set(after.base) == {apply_matrix(P, p) for p in before.base}
+            assert [t for t, _ in after.members] == [t for t, _ in before.members]
 
 
 def test_analyze_pencil_solves_and_factors_once(monkeypatch):

@@ -4,14 +4,14 @@ from collections import Counter
 import pytest
 
 from nodalcount import nodal
-from nodalcount.burnside import BurnsideElement
+from nodalcount.burnside import BurnsideElement, be_equal
 from nodalcount.nodal import (
     ALL_PAIRINGS,
-    Pairing,
     SigmaConfig,
     enumerate_sigma_configs,
     nodal_orbit_reports,
     pairing_action,
+    pairing_label,
     sigma_from_classes,
     verify,
     verify_all,
@@ -19,6 +19,7 @@ from nodalcount.nodal import (
 from nodalcount.permgroup import (
     InvalidActionError,
     Permutation,
+    all_subgroups,
     class_index_of,
     generate_group,
     parse_permutation,
@@ -26,7 +27,12 @@ from nodalcount.permgroup import (
     verify_action,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import has_klein_four, inflate_concrete, mark_defect_oracle
+from oracles import (
+    has_klein_four,
+    inflate_concrete,
+    mark_defect_oracle,
+    restrict_by_marks,
+)
 
 
 def perm(text):
@@ -56,7 +62,7 @@ def weight_marks_by_oracle(report, G):
     totals = [0] * len(subgroup_classes(G))
     for orb in report.orbit_reports:
         H = orb.stabilizer
-        blocks = orb.representative.blocks
+        blocks = orb.representative
         action = {
             (h, block): tuple(sorted(report.sigma.point_action[h](i) for i in block))
             for h in H.elements
@@ -78,21 +84,32 @@ def weight_marks_by_oracle(report, G):
     return tuple(totals)
 
 
+def pairing_of(a, b, c, d):
+    """The pairing {a, b} | {c, d}, as its pair of sorted blocks."""
+    return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+
+
 class TestPairing:
     def test_exactly_three(self):
         assert len(set(ALL_PAIRINGS)) == 3
         for blocks in itertools.permutations(range(4)):
-            assert Pairing.of(*blocks) in ALL_PAIRINGS
+            assert pairing_of(*blocks) in ALL_PAIRINGS
 
     def test_labels(self):
-        assert [p.label() for p in ALL_PAIRINGS] == ["12|34", "13|24", "14|23"]
+        assert [pairing_label(p) for p in ALL_PAIRINGS] == ["12|34", "13|24", "14|23"]
 
     def test_sort_order_is_label_order(self):
         assert sorted(reversed(ALL_PAIRINGS)) == list(ALL_PAIRINGS)
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Pairing.of(0, 1, 2, 2)
+    def test_s4_table_maps_each_pairing_to_the_images_of_its_blocks(self):
+        # Against the definition, with blocks as frozensets: the image of
+        # a pairing under g is the pairing formed by g's images of both blocks.
+        table = nodal._PAIRING_IMAGES
+        assert len(table) == 24
+        for g in resolve_group("S4").elements:
+            for pairing, k in zip(ALL_PAIRINGS, table[g.images]):
+                image = {frozenset(map(g, block)) for block in pairing}
+                assert image == {frozenset(block) for block in ALL_PAIRINGS[k]}
 
 
 class TestEnumerate:
@@ -352,6 +369,22 @@ class TestVerify:
             for report in verify_all(G):
                 rows_equal = all(lm == rm for _, lm, rm in report.table)
                 assert rows_equal == report.equal
+                expected = be_equal(report.lhs, report.rhs)
+                assert (report.equal, report.witnesses) == expected
+
+    def test_one_verify_reads_each_mark_vector_once(self, monkeypatch):
+        calls = []
+        original = BurnsideElement.mark_vector
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BurnsideElement, "mark_vector", counted)
+        for sigma in enumerate_sigma_configs(resolve_group("S4")):
+            calls.clear()
+            report = verify(sigma)
+            assert calls == [report.lhs, report.rhs]
 
 
 class TestKleinCriterion:
@@ -412,6 +445,30 @@ class TestImageGroup:
         assert (rows, unfaithful) == (329, 40)
 
 
+class TestRestriction:
+    """Restriction to a subgroup H commutes with verification.
+
+    Restricting Sigma to H gives the point action sigma|H, and the pairings
+    and branches restrict with it, so each side of verify(sigma|H) must be
+    the restriction to H of the same side of verify(sigma).  The restriction
+    comes from marks (``oracles.restrict_by_marks``), not from ``nodal``.
+    """
+
+    def test_both_sides_restrict_to_every_subgroup(self):
+        triples = 0
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                report = verify(sigma)
+                for H in all_subgroups(G):
+                    action = {h: sigma.point_action[h] for h in H.elements}
+                    restricted = verify(SigmaConfig.from_action(H, action))
+                    assert restricted.lhs == restrict_by_marks(report.lhs, H)
+                    assert restricted.rhs == restrict_by_marks(report.rhs, H)
+                    triples += 1
+        assert triples == 473
+
+
 class TestInvariants:
     def test_cardinality_law(self):
         for name in PRESET_ORDER:
@@ -430,7 +487,7 @@ class TestInvariants:
                             g for g in G.elements if act(g, other) == other
                         ]
                         stab = generate_group(stab_elems)
-                        blocks = other.blocks
+                        blocks = other
                         from nodalcount.burnside import decompose, inflate
 
                         branch = decompose(
