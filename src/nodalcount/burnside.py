@@ -209,16 +209,15 @@ class BurnsideElement:
 def be_equal(x: BurnsideElement, y: BurnsideElement):
     """Equality via the fixed-point criterion, with witnesses on failure.
 
-    Returns (equal, witnesses) where witnesses lists (class_index, mark_x,
-    mark_y) for every subgroup class at which the marks disagree.
+    Returns (equal, witnesses, table): table lists (class_index, mark_x,
+    mark_y) for every subgroup class, and witnesses the rows at which the
+    marks disagree.  Each mark vector is read once.
     """
     x._check_ambient(y)
-    mx = x.mark_vector()
-    my = y.mark_vector()
-    witnesses = tuple(
-        (k, a, b) for k, (a, b) in enumerate(zip(mx, my)) if a != b
-    )
-    return (not witnesses), witnesses
+    marks = zip(x.mark_vector(), y.mark_vector())
+    table = tuple((k, a, b) for k, (a, b) in enumerate(marks))
+    witnesses = tuple(row for row in table if row[1] != row[2])
+    return (not witnesses), witnesses, table
 
 
 def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:

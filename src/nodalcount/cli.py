@@ -189,7 +189,7 @@ def cmd_verify_all(args) -> tuple:
 
 def _expanded_table(report: nodal.VerificationReport):
     """Per-subgroup fixed-point rows (classes expanded to all members)."""
-    G = report.group
+    G = report.sigma.ambient
     rows = []
     for cls in subgroup_classes(G):
         idx = cls.class_index

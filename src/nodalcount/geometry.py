@@ -282,7 +282,7 @@ def _strip_squares(n: int):
         s *= d ** (exp // 2)
         if exp % 2:
             m *= d
-        d += 1
+        d += 1 if d == 2 else 2  # once 2 is divided out, no even d divides
     m *= n
     return s, sign * m
 
@@ -794,60 +794,61 @@ def pencil_through(points: Sequence[ProjPoint]) -> tuple:
 def induced_sigma(
     rep: Mapping[Permutation, Matrix], base: Sequence[ProjPoint], G: PermGroup
 ) -> SigmaConfig:
-    """Read off the permutation of the base points induced by each matrix.
+    """Read off the permutation of the base points induced by the matrices.
 
-    With ``base`` from ``base_locus`` (four distinct points, no three
-    collinear, each on f and g), span{f, g} is exactly the set of conics
-    through those points, and a matrix that permutes them carries that
-    set onto itself: so this is the proof that the pencil is invariant.
-    An element that moves a base point off the locus raises ValueError.
+    Only the generators' matrices are applied (``rep[identity]`` for the
+    trivial group), and ``_hom_from_generators``' walk extends their
+    permutations to G; this needs ``rep`` to be a homomorphism on G, which
+    that walk proves for every representation the package builds.  With
+    ``base`` from ``base_locus`` (four distinct points, no three collinear,
+    each on f and g), span{f, g} is the set of conics through them, which
+    matrices that permute them carry onto itself: this proves the pencil
+    invariant.  A generator that moves a base point off the locus raises
+    ValueError.
     """
     base = list(base)
     if len(base) != 4:
         raise ValueError("expected a base locus of four points")
-    point_action = {}
-    for g in G.elements:
-        M = rep[g]
-        images = []
-        for p in base:
-            # No invertibility check: a singular M maps the plane into a
-            # line, so it cannot permute four points with no three
-            # collinear, and it fails here as a ValueError, at a (0:0:0)
-            # image or in a Permutation that is not a bijection.  Only a
-            # caller-made base of four collinear points could let one pass.
-            q = ProjPoint(mat_vec(M, p.coords))
-            try:
-                images.append(base.index(q))
-            except ValueError:
-                raise ValueError(
-                    f"{g} does not preserve the base locus: {p} -> {q}"
-                ) from None
-        point_action[g] = Permutation(images)
+    identity = Permutation.identity()
+    images = {}
+    for s in G.generators or (identity,):
+        # No invertibility check: a singular matrix maps the plane into a
+        # line, so it cannot permute four points with no three collinear,
+        # and it fails here as a ValueError, at a (0:0:0) image or in a
+        # Permutation that is not a bijection.  Only a caller-made base of
+        # four collinear points could let one pass.
+        targets = [ProjPoint(mat_vec(rep[s], p.coords)) for p in base]
+        for p, q in zip(base, targets):
+            if q not in base:
+                raise ValueError(f"{s} does not preserve the base locus: {p} -> {q}")
+        images[s] = Permutation(map(base.index, targets))
+    _, point_action = _hom_from_generators(images, Permutation.__mul__, identity)
     return SigmaConfig.from_action(G, point_action)
 
 
-def _hom_from_generators(images: Mapping[Permutation, Matrix]) -> tuple:
+def _hom_from_generators(images: Mapping, product, identity) -> tuple:
     """The group the generators close to, and their images extended to it.
 
+    ``product`` multiplies images, and ``identity`` is the identity's image.
     A breadth-first walk from the identity visits each edge (x, s): it
-    defines table[x*s] = table[x] * images[s] or checks that product
-    against the matrix already there.  A table consistent on every edge
-    is a homomorphism, because every element is a word in the generators,
-    and its keys are the elements of ``generate_group`` of them.  The table
+    defines table[x*s] = product(table[x], images[s]) or checks it against
+    the image already there.  A table consistent on every edge is a
+    homomorphism, because every element is a word in the generators, and
+    its keys are the elements of ``generate_group`` of them.  The table
     comes back read-only, since the cached representations share it with
     every PencilCase built on them.
     """
-    identity = Permutation.identity()
-    table = {identity: identity_matrix(3)}
-    queue = [identity]
+    one = Permutation.identity()
+    table = {one: identity}
+    queue = [one]
     for x in queue:
-        for s, M in images.items():
+        for s, image in images.items():
             xs = x * s
-            product = mat_mul(table[x], M)
+            value = product(table[x], image)
             if xs not in table:
-                table[xs] = product
+                table[xs] = value
                 queue.append(xs)
-            elif table[xs] != product:
+            elif table[xs] != value:
                 raise ValueError("generator images do not extend to a homomorphism")
     return generate_group(images), MappingProxyType(table)
 
@@ -877,7 +878,7 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
     This is the one runtime proof that the pencil is G-invariant:
     ``base_locus`` proves four distinct base points, no three collinear,
     each on f and g, so span{f, g} is exactly the set of conics through
-    them, and ``induced_sigma`` proves that every element permutes them.
+    them, and ``induced_sigma`` proves that the generators, so all of G, permute them.
     A general pencil that is not invariant fails there with ValueError.
     Raises NotGeneral / IrrationalNodalParameter for pencils outside the
     general-position regime.  The cubic is solved and each member
@@ -928,7 +929,7 @@ def d8_representation(a: int, b: int):
         parse_permutation("(1234)"): mat([[0, -1, 0], [1, 0, 0], [0, 0, a]]),
         parse_permutation("(13)"): mat([[1, 0, 0], [0, -1, 0], [0, 0, b]]),
     }
-    return _hom_from_generators(images)
+    return _hom_from_generators(images, mat_mul, identity_matrix(3))
 
 
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
@@ -981,7 +982,7 @@ def klein_representation():
         parse_permutation("(12)(34)"): mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
         parse_permutation("(13)(24)"): mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
     }
-    return _hom_from_generators(images)
+    return _hom_from_generators(images, mat_mul, identity_matrix(3))
 
 
 def klein_counterexample() -> PencilCase:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .burnside import BurnsideElement, decompose, inflate
+from .burnside import BurnsideElement, be_equal, decompose, inflate
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -243,7 +243,6 @@ def fixed_point_lines(rows: Sequence) -> list:
 class VerificationReport(NamedTuple):
     """Side-by-side fixed-point comparison of the weighted orbit sum and [Sigma] - {*}."""
 
-    group: PermGroup
     sigma: SigmaConfig
     orbit_reports: tuple
     lhs: BurnsideElement
@@ -253,8 +252,9 @@ class VerificationReport(NamedTuple):
     table: tuple  # rows (class_index, lhs mark, rhs mark)
 
     def render_text(self, group_name: str | None = None) -> str:
-        labels = class_labels(self.group)
-        name = group_name or subgroup_label(self.group)
+        G = self.sigma.ambient
+        labels = class_labels(G)
+        name = group_name or subgroup_label(G)
         lines = [
             f"group: {name}",
             f"sigma: {self.sigma.sigma_string()}  ->  {self.sigma.decomposition.render()}",
@@ -264,7 +264,7 @@ class VerificationReport(NamedTuple):
             orbit = ", ".join(pairing_label(p) for p in rep.orbit)
             lines.append(
                 f"  {pairing_label(rep.representative)}: orbit {{{orbit}}}, "
-                f"stab {subgroup_label(rep.stabilizer, ambient=self.group)}, "
+                f"stab {subgroup_label(rep.stabilizer, ambient=G)}, "
                 f"weight {rep.weight.render()}"
             )
         lines.append(f"lhs = {self.lhs.render()}")
@@ -276,9 +276,9 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
     def to_json(self, group_name: str | None = None) -> dict:
-        labels = class_labels(self.group)
+        labels = class_labels(self.sigma.ambient)
         return {
-            "group": group_name or subgroup_label(self.group),
+            "group": group_name or subgroup_label(self.sigma.ambient),
             "sigma": self.sigma.decomposition.to_json(),
             "sigma_spec": self.sigma.sigma_string(),
             "orbits": [rep.to_json() for rep in self.orbit_reports],
@@ -298,12 +298,7 @@ def verify(sigma: SigmaConfig) -> VerificationReport:
     reports = nodal_orbit_reports(sigma)
     lhs = sum((rep.weight for rep in reports), BurnsideElement.zero(G))
     rhs = sigma.decomposition - BurnsideElement.point(G)
-    marks = zip(lhs.mark_vector(), rhs.mark_vector())
-    table = tuple((idx, lm, rm) for idx, (lm, rm) in enumerate(marks))
-    witnesses = tuple(row for row in table if row[1] != row[2])
-    return VerificationReport(
-        G, sigma, tuple(reports), lhs, rhs, not witnesses, witnesses, table
-    )
+    return VerificationReport(sigma, tuple(reports), lhs, rhs, *be_equal(lhs, rhs))
 
 
 def verify_all(G: PermGroup) -> list:

@@ -2,8 +2,9 @@
 brute-force subgroup searches checked against ``permgroup``, the mark
 defect of ``verify``'s table counted from the definitions, restriction
 to a subgroup read off marks, a change of coordinates on conics, the D8
-invariant-subspace structure the dihedral pencils are spanned from, and
-a deadline for checks that must not hang.
+invariant-subspace structure the dihedral pencils are spanned from,
+square stripping by trial division over every d, and a deadline for
+checks that must not hang.
 
 Each G-set oracle builds a literal G-set as a (group, points, action)
 triple, so ``decompose`` of it is an answer that the Burnside-ring
@@ -208,6 +209,27 @@ def transform_conic(conic: Conic, P_inv) -> Conic:
     """
     A = mat_mul(mat_mul(tuple(zip(*P_inv)), conic.sym_matrix()), P_inv)
     return Conic((A[0][0], A[1][1], A[2][2], 2 * A[1][2], 2 * A[0][2], 2 * A[0][1]))
+
+
+def strip_squares_oracle(n: int) -> tuple:
+    """n = s^2 * m with the sign on m, trying every divisor 2 <= d < 2^16
+    while d^2 <= |n|: the loop ``geometry._strip_squares`` skips the even
+    d > 2 of."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s, m = 1, 1
+    d = 2
+    while d * d <= n and d < 1 << 16:
+        exp = 0
+        while n % d == 0:
+            n //= d
+            exp += 1
+        s *= d ** (exp // 2)
+        if exp % 2:
+            m *= d
+        d += 1
+    m *= n
+    return s, sign * m
 
 
 def span_equal(rows_a, rows_b) -> bool:

@@ -616,7 +616,7 @@ def test_criterion_8c_equality_vs_coefficients():
             y = BurnsideElement(G, x.coeffs)
         else:
             y = BurnsideElement(G, tuple(rng.randint(-3, 3) for _ in range(n)))
-        equal, _ = be_equal(x, y)
+        equal, _, _ = be_equal(x, y)
         if equal != (x.coeffs == y.coeffs):
             failures += 1
     check(

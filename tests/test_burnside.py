@@ -180,7 +180,7 @@ class TestEquality:
                 y = BurnsideElement(G, x.coeffs)
             else:
                 y = BurnsideElement(G, tuple(rng.randint(-3, 3) for _ in range(n)))
-            equal, witnesses = be_equal(x, y)
+            equal, witnesses, _ = be_equal(x, y)
             assert equal == (x.coeffs == y.coeffs)
             assert equal == (not witnesses)
 
@@ -188,14 +188,16 @@ class TestEquality:
         G = resolve_group("Z2")
         x = BurnsideElement(G, (1, 0))
         y = BurnsideElement(G, (0, 1))
-        equal, witnesses = be_equal(x, y)
+        equal, witnesses, table = be_equal(x, y)
         assert not equal
         assert witnesses == ((0, 2, 1), (1, 0, 1))
+        assert table == witnesses
 
     def test_self_equality(self):
         G = resolve_group("A4")
         x = BurnsideElement(G, tuple(range(len(subgroup_classes(G)))))
-        assert be_equal(x, x) == (True, ())
+        table = tuple((k, m, m) for k, m in enumerate(x.mark_vector()))
+        assert be_equal(x, x) == (True, (), table)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
@@ -224,7 +226,7 @@ class TestEquality:
             G, klein
         )
         rhs = BurnsideElement.from_subgroup(G, a3) - BurnsideElement.point(G)
-        equal, witnesses = be_equal(lhs, rhs)
+        equal, witnesses, _ = be_equal(lhs, rhs)
         assert not equal
         witness_classes = {w[0] for w in witnesses}
         assert witness_classes == {class_index_of(G, klein), class_index_of(G, G)}

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nodalcount
-from nodalcount import permgroup
+from nodalcount import cli, permgroup
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -48,13 +48,19 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
+def load_tracing():
+    """bench/tracing.py as a module, read from the benchmark, not copied."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_hooks_resolve():
     # bench/tracing.py patches these names by attribute, and counts subgroup
     # enumerations through all_subgroups.cache_info; a rename fails here
     # rather than only when the benchmark runs.
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     for name, modname, attr, owner in tracing.SPAN_TARGETS:
         module = importlib.import_module(modname)
         if owner is None:
@@ -62,6 +68,32 @@ def test_benchmark_hooks_resolve():
         else:
             assert attr in vars(getattr(module, owner)), name
     assert callable(permgroup.all_subgroups.cache_info)
+
+
+def test_every_benchmark_span_is_reached(capsys):
+    # A span that no command reaches reads 0 in every benchmark run and
+    # shows nothing; the package's caches start cold, as in a fresh process.
+    tracing = load_tracing()
+    for fn in tracing.lru_cache_functions().values():
+        fn.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        for argv in (
+            ["marks", "--group", "S4"],
+            ["verify", "--group", "D8", "--sigma", "[G/(14)(23)]"],
+            ["verify-all", "--group", "V"],
+            ["counterexample", "klein"],
+            ["counterexample", "d8", "--case", "8"],
+            ["theorem-sweep"],
+        ):
+            cli.main(argv)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    reached = {span[1] for span in tracer.spans}
+    assert set(tracing.SPAN_NAMES) - {"cli.import"} - reached == set()
 
 
 def assigned(tree):

@@ -55,6 +55,7 @@ from oracles import (
     deadline,
     mat_inverse,
     span_equal,
+    strip_squares_oracle,
     transform_conic,
 )
 
@@ -192,6 +193,28 @@ class TestQuadExt:
         assert str(QuadExt(0, 1, -2)) == "sqrt(-2)"
         assert str(QuadExt(1, -1, -2)) == "1-sqrt(-2)"
         assert str(ProjPoint((1, 1, QuadExt(0, 1, -2)))) == "[1:1:sqrt(-2)]"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(-(10**9), 10**9),
+        st.builds(
+            lambda s, m: s * s * m,
+            st.integers(1, 10**5),
+            st.integers(-(10**4), 10**4),
+        ),
+        st.builds(
+            lambda e2, e3, e5, sign: sign * 2**e2 * 3**e3 * 5**e5,
+            st.integers(0, 40),
+            st.integers(0, 20),
+            st.integers(0, 12),
+            st.sampled_from([1, -1]),
+        ),
+    )
+)
+def test_strip_squares_matches_every_divisor_trial(n):
+    assert geometry._strip_squares(n) == strip_squares_oracle(n)
 
 
 non_square_radicands = st.integers(-60, 60).filter(
@@ -630,7 +653,18 @@ class TestRepresentations:
         # commutes with the rotation, so F R F = R, not R^-1
         reflection = mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
         with pytest.raises(ValueError, match="do not extend"):
-            _hom_from_generators({perm("(1234)"): rotation, perm("(13)"): reflection})
+            _hom_from_generators(
+                {perm("(1234)"): rotation, perm("(13)"): reflection},
+                mat_mul,
+                identity_matrix(3),
+            )
+        # the same walk on permutation images: (123) has order 3, not 4
+        with pytest.raises(ValueError, match="do not extend"):
+            _hom_from_generators(
+                {perm("(1234)"): perm("(123)")},
+                Permutation.__mul__,
+                Permutation.identity(),
+            )
 
     def test_representations_act_through_the_named_groups(self):
         # The group comes from closing the generator images, so each
@@ -644,7 +678,9 @@ class TestRepresentations:
         assert G is resolve_group("V")
         assert set(rep) == set(G.elements)
         rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
-        G, rep = _hom_from_generators({perm("(1234)"): rotation})
+        G, rep = _hom_from_generators(
+            {perm("(1234)"): rotation}, mat_mul, identity_matrix(3)
+        )
         assert G is resolve_group("Z4")
         assert len(rep) == 4
 
@@ -766,6 +802,35 @@ def standard_matrix(p):
     Representation Theory, section 2.3)."""
     e = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
     return mat([[e[p(i)][row] for i in range(3)] for row in range(3)])
+
+
+def test_induced_sigma_applies_only_the_generator_matrices(monkeypatch):
+    # 4 base points times |G.generators| matrix applications, and the
+    # action read off the walk is the one every element's matrix induces
+    cases = [klein_counterexample()] + d8_case_suite(1, -1, 2, 3)[7:]
+    analyses = [analyze_pencil(case) for case in cases]
+    S4 = resolve_group("S4")
+    base = [ProjPoint(p) for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    standard = {p: standard_matrix(p) for p in S4}
+    calls = count_calls(monkeypatch, "mat_vec")
+    for case, analysis in zip(cases, analyses):
+        calls["mat_vec"] = 0
+        sigma = induced_sigma(case.rep, analysis.base, case.group)
+        assert len(case.group.generators) == 2
+        assert calls == {"mat_vec": 8}
+        assert sigma.point_action == analysis.sigma.point_action
+    for name in PRESET_ORDER:
+        G = resolve_group(name)
+        calls["mat_vec"] = 0
+        sigma = induced_sigma(standard, base, G)
+        assert calls == {"mat_vec": 4 * max(1, len(G.generators))}
+        assert sigma.point_action == {g: g for g in G}
+    monkeypatch.undo()
+    for case, analysis in zip(cases, analyses):
+        points = analysis.base
+        for g, p in analysis.sigma.point_action.items():
+            for i, point in enumerate(points):
+                assert apply_matrix(case.rep[g], point) == points[p(i)]
 
 
 def test_every_sweep_configuration_is_geometrically_realizable():

@@ -370,21 +370,27 @@ class TestVerify:
                 rows_equal = all(lm == rm for _, lm, rm in report.table)
                 assert rows_equal == report.equal
                 expected = be_equal(report.lhs, report.rhs)
-                assert (report.equal, report.witnesses) == expected
+                assert (report.equal, report.witnesses, report.table) == expected
 
     def test_one_verify_reads_each_mark_vector_once(self, monkeypatch):
         calls = []
         original = BurnsideElement.mark_vector
+        original_be_equal = nodal.be_equal
 
         def counted(self):
             calls.append(self)
             return original(self)
 
+        def counted_be_equal(x, y):
+            calls.append("be_equal")
+            return original_be_equal(x, y)
+
         monkeypatch.setattr(BurnsideElement, "mark_vector", counted)
+        monkeypatch.setattr(nodal, "be_equal", counted_be_equal)
         for sigma in enumerate_sigma_configs(resolve_group("S4")):
             calls.clear()
             report = verify(sigma)
-            assert calls == [report.lhs, report.rhs]
+            assert calls == ["be_equal", report.lhs, report.rhs]
 
 
 class TestKleinCriterion:
