@@ -79,7 +79,8 @@ class QuadExt:
     The constructor is where a number enters: it coerces both parts to
     Fraction and checks the radicand.  Field operations build their results
     with ``_trusted``, so a result inherits the radicand its operands carry
-    and is not checked again.
+    and is not checked again.  A sum or product of two rationals is one
+    Fraction operation, with a zero radical part and no radicand.
     """
 
     __slots__ = ("a", "b", "radicand")
@@ -123,6 +124,8 @@ class QuadExt:
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        if self.radicand is None and other.radicand is None:
+            return _trusted(self.a + other.a, _FRACTION_ZERO, None)
         m = self._join(other)
         return _trusted(self.a + other.a, self.b + other.b, m)
 
@@ -141,10 +144,11 @@ class QuadExt:
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        if self.radicand is None and other.radicand is None:
+            return _trusted(self.a * other.a, _FRACTION_ZERO, None)
         m = self._join(other)
-        radical_sq = 0 if m is None else m
         return _trusted(
-            self.a * other.a + self.b * other.b * radical_sq,
+            self.a * other.a + self.b * other.b * m,
             self.a * other.b + self.b * other.a,
             m,
         )
@@ -207,6 +211,10 @@ class QuadExt:
 
     def __repr__(self) -> str:
         return f"QuadExt({self})"
+
+
+# The radical part of every rational result of + and *.
+_FRACTION_ZERO = Fraction(0)
 
 
 def _trusted(a: Fraction, b: Fraction, radicand: int | None) -> QuadExt:

@@ -3,6 +3,7 @@ package stays light, and every name the benchmark hooks into or imports exists."
 
 import ast
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -94,6 +95,29 @@ def test_every_benchmark_span_is_reached(capsys):
     capsys.readouterr()
     reached = {span[1] for span in tracer.spans}
     assert set(tracing.SPAN_NAMES) - {"cli.import"} - reached == set()
+
+
+def test_geometry_spans_are_reached_in_a_fresh_interpreter():
+    # bench/cli_driver.py patches only the modules loaded when its tracer is
+    # installed, right after `import nodalcount.cli`.  In this process other
+    # tests may have imported geometry already, so run the driver cold.
+    geometry_spans = {n for n in load_tracing().SPAN_NAMES if n.startswith("geometry.")}
+    reached = set()
+    for argv in (["counterexample", "klein"], ["counterexample", "d8", "--case", "8"]):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "bench" / "cli_driver.py"), *argv],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH="src"),
+            timeout=60,
+            check=True,
+        ).stdout
+        run = json.loads(out)
+        assert run["exit"] == 0, argv
+        assert run["counters"]["geometry.pencils"] == 1, argv
+        reached |= set(run["spans"])
+    assert geometry_spans - reached == set()
 
 
 def assigned(tree):

@@ -9,6 +9,7 @@ from nodalcount import geometry
 from nodalcount.burnside import BurnsideElement
 from nodalcount.geometry import (
     MONOMIALS,
+    ZERO,
     Conic,
     FieldExtensionError,
     IrrationalNodalParameter,
@@ -259,6 +260,63 @@ class TestTrustedResults:
         self.assert_built(x * y, a1 * a2, 0, None)
         if a2:
             self.assert_built(y.inverse(), 1 / a2, 0, None)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(rationals, rationals)
+    def test_rational_difference_negation_and_quotient(self, a1, a2):
+        x, y = QuadExt(a1), QuadExt(a2)
+        self.assert_built(x - y, a1 - a2, 0, None)
+        self.assert_built(-x, -a1, 0, None)
+        if a2:
+            self.assert_built(x / y, a1 / a2, 0, None)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        rationals,
+        rationals,
+        st.integers(-50, 50),
+        rationals,
+        st.one_of(st.none(), non_square_radicands),
+    )
+    def test_plain_numbers_on_either_side(self, a, b, n, f, m):
+        b = b if m is not None else 0
+        x = QuadExt(a, b, m)
+        for c in (n, f):
+            self.assert_built(x + c, a + c, b, m)
+            self.assert_built(c + x, a + c, b, m)
+            self.assert_built(x - c, a - c, b, m)
+            self.assert_built(x * c, a * c, b * c, m)
+            self.assert_built(c * x, a * c, b * c, m)
+            if c:
+                self.assert_built(x / c, a / c, b / c, m)
+        # _dot's sum: ZERO + an int + a Fraction + x, and 0 + products.
+        self.assert_built(sum((n, f, x), ZERO), n + f + a, b, m)
+        self.assert_built(sum((n * x, x * f)), (n + f) * a, (n + f) * b, m)
+
+    @settings(max_examples=60, derandomize=True)
+    @given(
+        rationals,
+        rationals,
+        rationals.filter(bool),
+        non_square_radicands,
+        non_square_radicands,
+    )
+    def test_rational_meets_irrational_in_both_orders(self, r, a, b, m, m2):
+        z = QuadExt(a, b, m)
+        # A rational carries no radicand, even one cancelled out of another
+        # field, so it never raises FieldExtensionError.
+        root = QuadExt(0, 1, m2)
+        for x in (QuadExt(r), (r + root) - root):
+            self.assert_built(x + z, r + a, b, m)
+            self.assert_built(z + x, a + r, b, m)
+            self.assert_built(x - z, r - a, -b, m)
+            self.assert_built(z - x, a - r, b, m)
+            self.assert_built(x * z, r * a, r * b, m)
+            self.assert_built(z * x, a * r, b * r, m)
+            norm = a * a - b * b * m
+            self.assert_built(x / z, r * a / norm, -r * b / norm, m)
+            if r:
+                self.assert_built(z / x, a / r, b / r, m)
 
     def test_cancelled_radical_part_drops_the_radicand(self):
         root2 = QuadExt(0, 1, 2)
