@@ -15,14 +15,13 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .permgroup import (
-    InvalidActionError,
     PermGroup,
-    Permutation,
     class_index_of,
     class_labels,
     orbit_and_stabilizer,
     subgroup_classes,
     subgroup_label,
+    verify_action,
 )
 
 __all__ = [
@@ -116,15 +115,15 @@ class BurnsideElement:
         return cls(G, (0,) * len(subgroup_classes(G)))
 
     @classmethod
-    def from_class(cls, G: PermGroup, index: int, n: int = 1) -> "BurnsideElement":
+    def from_class(cls, G: PermGroup, index: int) -> "BurnsideElement":
         coeffs = [0] * len(subgroup_classes(G))
-        coeffs[index] = n
+        coeffs[index] = 1
         return cls(G, tuple(coeffs))
 
     @classmethod
-    def from_subgroup(cls, G: PermGroup, H: PermGroup, n: int = 1) -> "BurnsideElement":
-        """n * [G/H]."""
-        return cls.from_class(G, class_index_of(G, H), n)
+    def from_subgroup(cls, G: PermGroup, H: PermGroup) -> "BurnsideElement":
+        """[G/H]."""
+        return cls.from_class(G, class_index_of(G, H))
 
     @classmethod
     def point(cls, G: PermGroup) -> "BurnsideElement":
@@ -223,25 +222,10 @@ def be_equal(x: BurnsideElement, y: BurnsideElement):
 def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i].
 
-    The action axioms are checked exhaustively first (generator
-    compatibility suffices), raising InvalidActionError on a failure.
+    ``verify_action`` checks the axioms first on the generator edges,
+    which suffices, raising InvalidActionError on a failure.
     """
-    pointset = set(points)
-    if len(pointset) != len(points):
-        raise ValueError("duplicate points in a concrete G-set")
-    identity = Permutation.identity()
-    for p in points:
-        if act(identity, p) != p:
-            raise InvalidActionError(f"identity axiom fails at {p!r}")
-    for g in G.generators or (identity,):
-        for p in points:
-            if act(g, p) not in pointset:
-                raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
-        for h in G.elements:
-            gh = g * h
-            for p in points:
-                if act(gh, p) != act(g, act(h, p)):
-                    raise InvalidActionError(f"compatibility fails at ({g}, {h}, {p!r})")
+    verify_action(G, act, points, G.generators or G.elements)
     coeffs = [0] * len(subgroup_classes(G))
     seen: set = set()
     for x in points:

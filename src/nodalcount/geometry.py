@@ -16,12 +16,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .burnside import _signed_sum
 from .nodal import SigmaConfig
-from .permgroup import Permutation, PermGroup, generate_group, parse_permutation
+from .permgroup import Permutation, PermGroup, _hom_from_generators, parse_permutation
 
 __all__ = [
     "QuadExt",
@@ -140,6 +139,12 @@ class QuadExt:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other):
         other = self._lift(other)
         if other is None:
@@ -169,6 +174,12 @@ class QuadExt:
         if other is None:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     # -- structure ---------------------------------------------------------
 
@@ -832,33 +843,6 @@ def induced_sigma(
         images[s] = Permutation(map(base.index, targets))
     _, point_action = _hom_from_generators(images, Permutation.__mul__, identity)
     return SigmaConfig.from_action(G, point_action)
-
-
-def _hom_from_generators(images: Mapping, product, identity) -> tuple:
-    """The group the generators close to, and their images extended to it.
-
-    ``product`` multiplies images, and ``identity`` is the identity's image.
-    A breadth-first walk from the identity visits each edge (x, s): it
-    defines table[x*s] = product(table[x], images[s]) or checks it against
-    the image already there.  A table consistent on every edge is a
-    homomorphism, because every element is a word in the generators, and
-    its keys are the elements of ``generate_group`` of them.  The table
-    comes back read-only, since the cached representations share it with
-    every PencilCase built on them.
-    """
-    one = Permutation.identity()
-    table = {one: identity}
-    queue = [one]
-    for x in queue:
-        for s, image in images.items():
-            xs = x * s
-            value = product(table[x], image)
-            if xs not in table:
-                table[xs] = value
-                queue.append(xs)
-            elif table[xs] != value:
-                raise ValueError("generator images do not extend to a homomorphism")
-    return generate_group(images), MappingProxyType(table)
 
 
 class PencilCase(NamedTuple):

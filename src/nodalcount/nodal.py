@@ -216,7 +216,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
         if rep in done:
             continue
         orbit, stab = orbit_and_stabilizer(G, act, rep)
-        verify_action(G, act, orbit)
+        verify_action(G, act, orbit, G.elements)
         done.update(orbit)
 
         def act_on_block(h: Permutation, block: tuple) -> tuple:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import chain, combinations, permutations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "InvalidActionError",
@@ -79,9 +80,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return _trusted(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
 
     def cycle_string(self) -> str:
         """Render in compact cycle notation, such as "(12)(34)": each cycle
@@ -266,6 +264,30 @@ def generate_group(generators: Iterable[Permutation]) -> PermGroup:
     return _GROUPS[_close([_INDEX[g.images] for g in generators])]
 
 
+def _hom_from_generators(images: Mapping, product, identity) -> tuple:
+    """The group the generators close to, and their images extended to it.
+
+    ``product`` multiplies images and ``identity`` is the identity's image.
+    On each edge (x, s) of ``_close``'s walk, table[x*s] is set to, or checked
+    against, product(table[x], images[s]); a table consistent on every edge
+    is a homomorphism.  It is read-only: cached representations share it.
+    """
+    gens = [(_INDEX[s.images], image) for s, image in images.items()]
+    table = {0: identity}
+    queue = [0]
+    for x in queue:
+        for s, image in gens:
+            xs = _MUL[x][s]
+            value = product(table[x], image)
+            if xs not in table:
+                table[xs] = value
+                queue.append(xs)
+            elif table[xs] != value:
+                raise ValueError("generator images do not extend to a homomorphism")
+    group = _GROUPS[sum(1 << x for x in table)]
+    return group, MappingProxyType({_ELEMENTS[x]: v for x, v in table.items()})
+
+
 @lru_cache(maxsize=None)
 def all_subgroups(G: PermGroup) -> tuple:
     """Every subgroup of G, canonically sorted by (order, element list)."""
@@ -333,13 +355,24 @@ def class_labels(G: PermGroup) -> tuple:
     )
 
 
-def verify_action(G: PermGroup, action: Callable, points: Sequence) -> None:
-    """Check the identity axiom, then compatibility for every pair of elements."""
+def verify_action(G: PermGroup, action: Callable, points: Sequence, left: Iterable) -> None:
+    """Check the G-set axioms on distinct points, raising InvalidActionError.
+
+    The identity fixes each point; each g in ``left`` keeps the point set and
+    has (g*h).p == g.(h.p) for every h in G.  ``left = G.elements`` checks
+    all pairs; the generators suffice, by induction on word length.
+    """
+    pointset = set(points)
+    if len(pointset) != len(points):
+        raise ValueError("duplicate points in a concrete G-set")
     identity = Permutation.identity()
     for p in points:
         if action(identity, p) != p:
             raise InvalidActionError(f"identity axiom fails at {p!r}")
-    for g in G.elements:
+    for g in left:
+        for p in points:
+            if action(g, p) not in pointset:
+                raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
         for h in G.elements:
             gh = g * h
             for p in points:

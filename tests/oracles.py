@@ -158,7 +158,7 @@ def subgroups_oracle(G: PermGroup) -> set:
 def minimal_generators_oracle(H: PermGroup) -> tuple:
     """The least number of generators, then the first such tuple in ``combinations``
     order over the sorted non-identity elements of H."""
-    others = [p for p in H.elements if not p.is_identity()]
+    others = [p for p in H.elements if p != Permutation.identity()]
     target = frozenset(H.elements)
     for size in range(len(others) + 1):
         for gens in combinations(others, size):
@@ -188,7 +188,8 @@ def mark_defect_oracle(H) -> int:
 def has_klein_four(H) -> bool:
     """Whether the group H of permutations has two distinct commuting
     involutions a, b, that is the Klein four-subgroup {1, a, b, ab}."""
-    involutions = [h for h in H if not h.is_identity() and (h * h).is_identity()]
+    e = Permutation.identity()
+    involutions = [h for h in H if h != e and h * h == e]
     return any(a * b == b * a for a, b in combinations(involutions, 2))
 
 

@@ -358,6 +358,17 @@ class TestDecompose:
         with pytest.raises(InvalidActionError):
             decompose(G, (0, 1, 2), lambda g, x: (x + 1) % 3 if g == sigma else x)
 
+    def test_duplicate_points_rejected(self):
+        G = resolve_group("Z2")
+        with pytest.raises(ValueError, match="duplicate points"):
+            decompose(G, (0, 1, 1), lambda g, x: x)
+
+    def test_generator_leaving_the_point_set_rejected(self):
+        G = resolve_group("Z2")
+        flip = perm("(12)")
+        with pytest.raises(InvalidActionError, match="leaves the point set"):
+            decompose(G, (0, 1), lambda g, x: x + 2 if g == flip else x)
+
 
 # ---------------------------------------------------------------------------
 # products vs decomposition (oracle)

@@ -123,6 +123,33 @@ class TestCommands:
         code = main(["verify", "--group", "Z2", "--sigma", "banana"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["counterexample", "d8", "--c", "0"], "parameters c and d must be nonzero"),
+            (
+                ["counterexample", "d8", "--d", "0", "--case", "9"],
+                "parameters c and d must be nonzero",
+            ),
+            (["counterexample", "d8", "--a", "2"], "argument --a: expected +1 or -1"),
+            (["verify", "--group", "S4", "--sigma", "4*+"], "empty term in sigma spec"),
+            (["verify", "--group", "S4", "--sigma", "[G/(1x)]"], "cannot parse cycle (1x)"),
+        ],
+        ids=["zero-c", "zero-d", "bad-sign", "empty-term", "bad-cycle"],
+    )
+    def test_bad_input_exits_two_with_one_error_line(self, capsys, argv, message):
+        # An argparse error exits through SystemExit after its usage lines;
+        # the others return 2 with the error line alone.
+        with deadline(2):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        errors = [line for line in captured.err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and message in errors[0]
+
     def test_counterexample_klein(self, capsys):
         code, out = run(capsys, "counterexample", "klein")
         assert code == 0

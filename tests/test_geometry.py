@@ -17,7 +17,6 @@ from nodalcount.geometry import (
     PencilCase,
     ProjPoint,
     QuadExt,
-    _hom_from_generators,
     _rational_roots,
     analyze_pencil,
     apply_matrix,
@@ -46,6 +45,7 @@ from nodalcount.geometry import (
 from nodalcount.nodal import enumerate_sigma_configs, verify
 from nodalcount.permgroup import (
     Permutation,
+    _hom_from_generators,
     class_index_of,
     generate_group,
     parse_permutation,
@@ -285,10 +285,14 @@ class TestTrustedResults:
             self.assert_built(x + c, a + c, b, m)
             self.assert_built(c + x, a + c, b, m)
             self.assert_built(x - c, a - c, b, m)
+            self.assert_built(c - x, c - a, -b, m)
             self.assert_built(x * c, a * c, b * c, m)
             self.assert_built(c * x, a * c, b * c, m)
             if c:
                 self.assert_built(x / c, a / c, b / c, m)
+            if not x.is_zero():
+                norm = a * a - b * b * (m or 0)
+                self.assert_built(c / x, c * a / norm, -c * b / norm, m)
         # _dot's sum: ZERO + an int + a Fraction + x, and 0 + products.
         self.assert_built(sum((n, f, x), ZERO), n + f + a, b, m)
         self.assert_built(sum((n * x, x * f)), (n + f) * a, (n + f) * b, m)

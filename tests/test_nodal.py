@@ -199,7 +199,7 @@ class TestEnumerate:
                         SigmaConfig.from_action(G, phi)
                 # Only in a group of order 2 may x be sent elsewhere: to the
                 # identity or to one of S4's 8 other involutions.
-                assert rejected == (23 if G.order > 2 or x.is_identity() else 14)
+                assert rejected == (23 if G.order > 2 or x == Permutation.identity() else 14)
             del natural[G.elements[-1]]
             with pytest.raises(ValueError, match="every group element"):
                 SigmaConfig.from_action(G, natural)
@@ -219,7 +219,7 @@ class TestPairingAction:
         sigma = config_by_classes(G, [0, 1, 1])
         act = pairing_action(sigma)
         flip = perm("(12)")
-        mixed = [p for p in ALL_PAIRINGS if sigma.point_action[flip].is_identity() is False]
+        mixed = [p for p in ALL_PAIRINGS if sigma.point_action[flip] != Permutation.identity()]
         # the two pairings that mix the free orbit with the fixed points swap
         moved = [p for p in ALL_PAIRINGS if act(flip, p) != p]
         assert len(moved) == 2
@@ -294,9 +294,10 @@ class TestNodalOrbits:
     def test_each_pairing_orbit_is_checked_over_all_pairs(self, monkeypatch):
         checked = []
 
-        def spy(G, act, points):
+        def spy(G, act, points, left):
+            assert left == G.elements
             checked.append(tuple(sorted(points)))
-            verify_action(G, act, points)
+            verify_action(G, act, points, left)
 
         monkeypatch.setattr(nodal, "verify_action", spy)
         for name in PRESET_ORDER:
