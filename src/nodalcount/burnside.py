@@ -223,9 +223,10 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i].
 
     ``verify_action`` checks the axioms first on the generator edges,
-    which suffices, raising InvalidActionError on a failure.
+    which suffices, raising InvalidActionError on a failure.  The trivial
+    group has none, and needs only the distinct-points and identity checks.
     """
-    verify_action(G, act, points, G.generators or G.elements)
+    verify_action(G, act, points, G.generators)
     coeffs = [0] * len(subgroup_classes(G))
     seen: set = set()
     for x in points:

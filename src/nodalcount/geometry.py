@@ -776,7 +776,9 @@ def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
     line is intersected with a member independent of it, possibly after
     one radical adjunction (``_split_on_line``).  Raises
     NotGeneral with reason "common component", "repeated base point" or
-    "three collinear" when the pencil is not general.
+    "three collinear" when the pencil is not general.  The last cannot fire
+    after the distinct-points check: of any three points two share a line,
+    so the third on it would be a third zero of M there.
     """
     if lines[0] == lines[1]:
         raise NotGeneral("repeated base point")

@@ -12,7 +12,7 @@ the full fixed-point table either way.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .burnside import BurnsideElement, be_equal, decompose, inflate
@@ -44,17 +44,18 @@ __all__ = [
 
 ALL_PAIRINGS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
-# How S4 permutes the three pairings, built once: for each permutation's
-# images, the index in ALL_PAIRINGS of the image of each pairing.
-_PAIRING_IMAGES = {
-    images: tuple(
-        ALL_PAIRINGS.index(
-            tuple(sorted(tuple(sorted(images[i] for i in block)) for block in pairing))
-        )
-        for pairing in ALL_PAIRINGS
-    )
+# How S4 permutes the six blocks and the three pairings, built once:
+# (a permutation's images, x) -> the image of x, a sorted block or pairing.
+_S4_IMAGES = {
+    (images, block): tuple(sorted(images[i] for i in block))
     for images in permutations(range(4))
+    for block in combinations(range(4), 2)
 }
+_S4_IMAGES.update(
+    ((images, pairing), tuple(sorted(_S4_IMAGES[images, block] for block in pairing)))
+    for images in permutations(range(4))
+    for pairing in ALL_PAIRINGS
+)
 
 
 def pairing_label(pairing: tuple) -> str:
@@ -172,13 +173,9 @@ def enumerate_sigma_configs(G: PermGroup) -> list:
 
 
 def pairing_action(sigma: SigmaConfig) -> Callable:
-    """The induced left action of G on the three pairings, read off the S4 table."""
-    table = {
-        (g, pairing): ALL_PAIRINGS[k]
-        for g, perm in sigma.point_action.items()
-        for pairing, k in zip(ALL_PAIRINGS, _PAIRING_IMAGES[perm.images])
-    }
-    return lambda g, pairing: table[(g, pairing)]
+    """The induced left action of G on pairings and blocks, read off the S4 table."""
+    point_action = sigma.point_action
+    return lambda g, x: _S4_IMAGES[point_action[g].images, x]
 
 
 class NodalOrbitReport(NamedTuple):
@@ -206,7 +203,8 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
     The representative is the lexicographically least pairing of its
     orbit: ALL_PAIRINGS is sorted, so the first pairing not in an orbit
     already seen is the least of its own.  The branch set is the two
-    blocks of the representative as a set acted on by the stabilizer.
+    blocks of the representative as a set acted on by the stabilizer,
+    through the same action.
     """
     G = sigma.ambient
     act = pairing_action(sigma)
@@ -218,12 +216,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
         orbit, stab = orbit_and_stabilizer(G, act, rep)
         verify_action(G, act, orbit, G.elements)
         done.update(orbit)
-
-        def act_on_block(h: Permutation, block: tuple) -> tuple:
-            perm = sigma.point_action[h]
-            return tuple(sorted(perm(i) for i in block))
-
-        branch_be = decompose(stab, rep, act_on_block)
+        branch_be = decompose(stab, rep, act)
         weight = inflate(G, stab, branch_be - BurnsideElement.point(stab))
         reports.append(
             NodalOrbitReport(rep, tuple(sorted(orbit)), stab, branch_be, weight)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from nodalcount.cli import main, parse_sigma_spec
-from nodalcount.presets import resolve_group
+from nodalcount.nodal import enumerate_sigma_configs
+from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import deadline
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -61,6 +62,22 @@ class TestSigmaSpecs:
         G = resolve_group("V'")
         both = parse_sigma_spec("3*+[G/(12),(34)]", G).orbit_classes
         assert parse_sigma_spec("3*+[G/(12)(34)]", G).orbit_classes == both == (4,) * 4
+
+    def test_own_specs_are_never_misread(self):
+        # Each printed spec reads back as its own configuration or is
+        # refused, and never names another one.  Only specs with a product
+        # of two 2-cycles as a generator are refused: the parser reads its
+        # cycles as two generators.
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                spec = sigma.sigma_string()
+                try:
+                    back = parse_sigma_spec(spec, G)
+                except ValueError:
+                    assert re.search(r"\(\d\d\)\(\d\d\)", spec), (name, spec)
+                    continue
+                assert back.orbit_classes == sigma.orbit_classes, (name, spec)
 
 
 class TestHostileSigmaSpecs:

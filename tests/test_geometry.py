@@ -633,6 +633,32 @@ class TestBaseLocus:
             analyze_pencil(case)
         assert exc.value.reason == "repeated base point"
 
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # _split_on_line: the restriction has a double zero at u
+            ((-2, 1, 1, 2, -2, 1), (0, -1, 2, -2, 0, -2)),
+            # _split_on_line: the restriction has zero discriminant
+            ((2, -1, 2, 2, -1, 1), (-2, 1, 0, 2, 2, -1)),
+            # base_locus: the four points found are not distinct
+            ((0, -2, 0, 2, 1, 2), (-1, 0, 0, 2, 1, 2)),
+        ],
+    )
+    def test_non_general_pencils_are_refused(self, f, g):
+        G = resolve_group("trivial")
+        rep = {Permutation.identity(): identity_matrix(3)}
+        case = PencilCase("repeated", G, rep, Conic(f), Conic(g))
+        with pytest.raises(NotGeneral) as exc:
+            analyze_pencil(case)
+        assert exc.value.reason == "repeated base point"
+
+    def test_line_inside_the_other_member_is_a_common_component(self):
+        # The line X = 0 lies on the conic XY.
+        e = identity_matrix(3)
+        with pytest.raises(NotGeneral) as exc:
+            base_locus(conic({"XY": 1}), conic({"Z^2": 1}), (0, 1), (e[0], e[2]))
+        assert exc.value.reason == "common component"
+
     def test_klein_round_trip(self):
         expected = [
             ProjPoint((1, 2, 3)),

@@ -102,14 +102,23 @@ class TestPairing:
         assert sorted(reversed(ALL_PAIRINGS)) == list(ALL_PAIRINGS)
 
     def test_s4_table_maps_each_pairing_to_the_images_of_its_blocks(self):
-        # Against the definition, with blocks as frozensets: the image of
-        # a pairing under g is the pairing formed by g's images of both blocks.
-        table = nodal._PAIRING_IMAGES
-        assert len(table) == 24
+        # Against the definition, with blocks as frozensets: the image of a
+        # block under g is g's image of its points, and the image of a
+        # pairing is the pairing formed by g's images of both blocks.
+        table = nodal._S4_IMAGES
+        blocks = list(itertools.combinations(range(4), 2))
+        assert len(table) == 24 * (6 + 3)
         for g in resolve_group("S4").elements:
-            for pairing, k in zip(ALL_PAIRINGS, table[g.images]):
-                image = {frozenset(map(g, block)) for block in pairing}
-                assert image == {frozenset(block) for block in ALL_PAIRINGS[k]}
+            for block in blocks:
+                image = table[g.images, block]
+                assert image in blocks
+                assert frozenset(image) == frozenset(map(g, block))
+            for pairing in ALL_PAIRINGS:
+                image = table[g.images, pairing]
+                assert image in ALL_PAIRINGS
+                assert {frozenset(b) for b in image} == {
+                    frozenset(map(g, block)) for block in pairing
+                }
 
 
 class TestEnumerate:
