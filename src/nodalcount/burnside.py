@@ -18,10 +18,9 @@ from .permgroup import (
     PermGroup,
     class_index_of,
     class_labels,
-    orbit_and_stabilizer,
+    orbits,
     subgroup_classes,
     subgroup_label,
-    verify_action,
 )
 
 __all__ = [
@@ -222,18 +221,13 @@ def be_equal(x: BurnsideElement, y: BurnsideElement):
 def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     """Write a genuine G-set as a sum of orbit classes sum n_i [G/H_i].
 
-    ``verify_action`` checks the axioms first on the generator edges,
+    ``orbits`` checks the axioms on each orbit over the generator edges,
     which suffices, raising InvalidActionError on a failure.  The trivial
     group has none, and needs only the distinct-points and identity checks.
     """
-    verify_action(G, act, points, G.generators)
     coeffs = [0] * len(subgroup_classes(G))
-    seen: set = set()
-    for x in points:
-        if x not in seen:
-            orbit, stab = orbit_and_stabilizer(G, act, x)
-            seen.update(orbit)
-            coeffs[class_index_of(G, stab)] += 1
+    for _, stab in orbits(G, act, points, G.generators):
+        coeffs[class_index_of(G, stab)] += 1
     return BurnsideElement(G, tuple(coeffs))
 
 

@@ -20,10 +20,9 @@ from .permgroup import (
     PermGroup,
     Permutation,
     class_labels,
-    orbit_and_stabilizer,
+    orbits,
     subgroup_classes,
     subgroup_label,
-    verify_action,
 )
 
 __all__ = [
@@ -200,22 +199,18 @@ class NodalOrbitReport(NamedTuple):
 def nodal_orbit_reports(sigma: SigmaConfig) -> list:
     """Orbit-by-orbit weights: Ind([branches] - {*}) from each stabilizer.
 
-    The representative is the lexicographically least pairing of its
-    orbit: ALL_PAIRINGS is sorted, so the first pairing not in an orbit
-    already seen is the least of its own.  The branch set is the two
-    blocks of the representative as a set acted on by the stabilizer,
-    through the same action.
+    ``orbits`` checks each pairing orbit over all pairs of G.  The
+    representative is an orbit's first pairing, the least of its orbit:
+    ALL_PAIRINGS is sorted, and each orbit is found from the first pairing
+    not in an earlier one.  The branch set is the two blocks of the
+    representative as a set acted on by the stabilizer, through the same
+    action.
     """
     G = sigma.ambient
     act = pairing_action(sigma)
     reports = []
-    done: set = set()
-    for rep in ALL_PAIRINGS:
-        if rep in done:
-            continue
-        orbit, stab = orbit_and_stabilizer(G, act, rep)
-        verify_action(G, act, orbit, G.elements)
-        done.update(orbit)
+    for orbit, stab in orbits(G, act, ALL_PAIRINGS, G.elements):
+        rep = orbit[0]
         branch_be = decompose(stab, rep, act)
         weight = inflate(G, stab, branch_be - BurnsideElement.point(stab))
         reports.append(

@@ -29,8 +29,7 @@ __all__ = [
     "class_index_of",
     "subgroup_label",
     "class_labels",
-    "orbit_and_stabilizer",
-    "verify_action",
+    "orbits",
 ]
 
 
@@ -355,44 +354,47 @@ def class_labels(G: PermGroup) -> tuple:
     )
 
 
-def verify_action(G: PermGroup, action: Callable, points: Sequence, left: Iterable) -> None:
-    """Check the G-set axioms on distinct points, raising InvalidActionError.
+def orbits(G: PermGroup, action: Callable, points: Sequence, left: Sequence) -> list:
+    """Split distinct points into orbits, checking the G-set axioms on each.
 
-    The identity fixes each point; each g in ``left`` keeps the point set and
-    has (g*h).p == g.(h.p) for every h in G.  ``left = G.elements`` checks
-    all pairs; the generators suffice, by induction on word length.
+    Returns (orbit, stabilizer of its first point) per orbit, orbits in
+    first-seen order over ``points``; an orbit lists {g.x} in first-seen
+    order over G.elements, so its first point x is the point it was found
+    from.  On each orbit the identity fixes every point, and each g in
+    ``left`` keeps the point set and has (g*h).p == g.(h.p) for every h in
+    G, or InvalidActionError is raised.  ``left`` must generate G:
+    ``G.elements`` checks all pairs, and the generators suffice, by
+    induction on word length.  An orbit that passes is a transitive G-set,
+    so |orbit| * |stab| = |G| and the stabilizer is a subgroup of G, one of
+    S4's.
     """
     pointset = set(points)
     if len(pointset) != len(points):
         raise ValueError("duplicate points in a concrete G-set")
     identity = Permutation.identity()
-    for p in points:
-        if action(identity, p) != p:
-            raise InvalidActionError(f"identity axiom fails at {p!r}")
-    for g in left:
-        for p in points:
-            if action(g, p) not in pointset:
-                raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
-        for h in G.elements:
-            gh = g * h
-            for p in points:
-                if action(gh, p) != action(g, action(h, p)):
-                    raise InvalidActionError(
-                        f"compatibility fails: ({g} * {h}) . {p!r} != {g} . ({h} . {p!r})"
-                    )
-
-
-def orbit_and_stabilizer(G: PermGroup, action: Callable, x) -> tuple:
-    """Orbit and stabilizer subgroup of x under a left action, unchecked.
-
-    The orbit is {g.x} in first-seen order over G.elements, which starts
-    at the identity, so x comes first when the action is valid.  Only
-    |orbit| * |stab| = |G| and a stabilizer among S4's subgroups are
-    checked, raising InvalidActionError; the axioms are the caller's.
-    """
-    images = [action(g, x) for g in G.elements]
-    orbit = tuple(dict.fromkeys(images))
-    stab = sum(1 << i for i, y in zip(_members(G.mask), images) if y == x)
-    if len(orbit) * stab.bit_count() != G.order or stab not in _GROUPS:
-        raise InvalidActionError("orbit-stabilizer check fails; action is broken")
-    return orbit, _GROUPS[stab]
+    found = []
+    seen: set = set()
+    for x in points:
+        if x in seen:
+            continue
+        images = [action(g, x) for g in G.elements]
+        # x leads even if e.x != x, so that the identity check sees it
+        orbit = tuple(dict.fromkeys([x, *images]))
+        for p in orbit:
+            if action(identity, p) != p:
+                raise InvalidActionError(f"identity axiom fails at {p!r}")
+        for g in left:
+            for p in orbit:
+                if action(g, p) not in pointset:
+                    raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
+            for h in G.elements:
+                gh = g * h
+                for p in orbit:
+                    if action(gh, p) != action(g, action(h, p)):
+                        raise InvalidActionError(
+                            f"compatibility fails: ({g} * {h}) . {p!r} != {g} . ({h} . {p!r})"
+                        )
+        seen.update(orbit)
+        stab = sum(1 << i for i, y in zip(_members(G.mask), images) if y == x)
+        found.append((orbit, _GROUPS[stab]))
+    return found

@@ -304,6 +304,31 @@ def test_closed_stdout_ends_quietly():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theorem-sweep"],
+        ["--format", "json", "verify-all", "--group", "S4"],
+        ["counterexample", "klein"],
+        ["counterexample", "d8", "--case", "9", "--c", "3/7", "--d=-5"],
+    ],
+)
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # Set and dict iteration over hashed objects must not reach the output:
+    # fresh interpreters under two string-hash seeds print the same bytes.
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", "nodalcount", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+            timeout=60,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 class TestJsonTextParity:
     def _table_from_text(self, out):
         rows = {}

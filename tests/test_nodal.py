@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from nodalcount import nodal
-from nodalcount.burnside import BurnsideElement, be_equal
+from nodalcount.burnside import BurnsideElement, be_equal, decompose, inflate
 from nodalcount.nodal import (
     ALL_PAIRINGS,
     SigmaConfig,
@@ -22,9 +22,9 @@ from nodalcount.permgroup import (
     all_subgroups,
     class_index_of,
     generate_group,
+    orbits,
     parse_permutation,
     subgroup_classes,
-    verify_action,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
@@ -301,19 +301,21 @@ class TestNodalOrbits:
                     assert r.representative == min(r.orbit)
 
     def test_each_pairing_orbit_is_checked_over_all_pairs(self, monkeypatch):
-        checked = []
+        # One orbits call per configuration, over the three pairings and
+        # all of G as left factors; orbits checks each orbit it returns.
+        calls = []
 
         def spy(G, act, points, left):
-            assert left == G.elements
-            checked.append(tuple(sorted(points)))
-            verify_action(G, act, points, left)
+            calls.append((points, left))
+            return orbits(G, act, points, left)
 
-        monkeypatch.setattr(nodal, "verify_action", spy)
+        monkeypatch.setattr(nodal, "orbits", spy)
         for name in PRESET_ORDER:
-            for sigma in enumerate_sigma_configs(resolve_group(name)):
-                checked.clear()
-                reports = nodal_orbit_reports(sigma)
-                assert checked == [r.orbit for r in reports]
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                calls.clear()
+                nodal_orbit_reports(sigma)
+                assert calls == [(ALL_PAIRINGS, G.elements)]
 
 
 class TestVerify:
@@ -433,6 +435,26 @@ class TestKleinCriterion:
         assert defects == {at("V'", 2): 12, at("V", -2): 7, at("A4", 1): 2, at("S4", 1): 1}
 
 
+class TestClosedForm:
+    """Summed over the pairing orbits, Ind(branch set) is the G-set of the
+    six blocks, the 2-subsets of the base points, and Ind({*}) is the G-set
+    of the three pairings.  So the left side is [C(Sigma,2)] - [P(Sigma)]
+    for every configuration, computed here by two decompositions instead
+    of orbits, stabilizers and induction."""
+
+    def test_left_side_is_blocks_minus_pairings_over_the_sweep(self):
+        blocks = tuple(itertools.combinations(range(4), 2))
+        configs = 0
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                act = pairing_action(sigma)
+                closed = decompose(G, blocks, act) - decompose(G, ALL_PAIRINGS, act)
+                assert verify(sigma).lhs == closed, (name, sigma.sigma_string())
+                configs += 1
+        assert configs == 60
+
+
 class TestImageGroup:
     """Why the 60 configurations of the sweep cover every finite group.
 
@@ -504,8 +526,6 @@ class TestInvariants:
                         ]
                         stab = generate_group(stab_elems)
                         blocks = other
-                        from nodalcount.burnside import decompose, inflate
-
                         branch = decompose(
                             stab,
                             blocks,

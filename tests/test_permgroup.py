@@ -10,11 +10,10 @@ from nodalcount.permgroup import (
     all_subgroups,
     class_index_of,
     generate_group,
-    orbit_and_stabilizer,
+    orbits,
     parse_permutation,
     subgroup_classes,
     subgroup_label,
-    verify_action,
 )
 from nodalcount.presets import ALIASES, PRESETS, resolve_group
 from oracles import closure_oracle, minimal_generators_oracle, subgroups_oracle
@@ -22,6 +21,12 @@ from oracles import closure_oracle, minimal_generators_oracle, subgroups_oracle
 
 def perm(text):
     return parse_permutation(text)
+
+
+def orbit_of(G, act, gset, x, left):
+    """The orbit of x and its stabilizer: the first orbit of the G-set
+    listed with x first."""
+    return orbits(G, act, (x, *(y for y in gset if y != x)), left)[0]
 
 
 class TestPermutation:
@@ -249,15 +254,18 @@ class TestOneObjectPerSubgroup:
             for sigma in enumerate_sigma_configs(G):
                 act = pairing_action(sigma)
                 for x in ALL_PAIRINGS:
-                    self.assert_in_lattice(orbit_and_stabilizer(G, act, x)[1])
+                    self.assert_in_lattice(orbit_of(G, act, ALL_PAIRINGS, x, G.elements)[1])
 
         def on_cosets(g, coset):
             return tuple(sorted(g * x for x in coset))
 
         S4 = resolve_group("S4")
         for H in all_subgroups(S4):
-            for coset in S4.left_cosets(H):
-                self.assert_in_lattice(orbit_and_stabilizer(S4, on_cosets, coset)[1])
+            cosets = S4.left_cosets(H)
+            for coset in cosets:
+                self.assert_in_lattice(
+                    orbit_of(S4, on_cosets, cosets, coset, S4.generators)[1]
+                )
 
 
 class TestOrbitStabilizer:
@@ -269,15 +277,15 @@ class TestOrbitStabilizer:
         a3 = generate_group([perm("(123)")])
         sigma = sigma_from_classes(G, [class_index_of(G, a3)])
         act = pairing_action(sigma)
-        orbit, stab = orbit_and_stabilizer(G, act, ALL_PAIRINGS[0])
+        ((orbit, stab),) = orbits(G, act, ALL_PAIRINGS, G.generators)
         assert len(orbit) == 3
         assert stab.order == 4
 
     def test_trivial_group_fixes_everything(self):
         G = resolve_group("trivial")
-        orbit, stab = orbit_and_stabilizer(G, lambda g, x: x, "anything")
-        assert orbit == ("anything",)
-        assert stab is G
+        assert orbits(G, lambda g, x: x, ("anything",), G.generators) == [
+            (("anything",), G)
+        ]
 
     def test_z2_pairing_orbit(self):
         from nodalcount.nodal import ALL_PAIRINGS, pairing_action, sigma_from_classes
@@ -288,7 +296,7 @@ class TestOrbitStabilizer:
         sigma = sigma_from_classes(G, [0, 1, 1])
         act = pairing_action(sigma)
         mixed = [p for p in ALL_PAIRINGS if p != ALL_PAIRINGS[0]]
-        orbit, stab = orbit_and_stabilizer(G, act, mixed[0])
+        orbit, stab = orbit_of(G, act, ALL_PAIRINGS, mixed[0], G.elements)
         assert set(orbit) == set(mixed)
         assert stab.order == 1
 
@@ -301,7 +309,7 @@ class TestOrbitStabilizer:
             return tuple(sorted(g * x for x in coset))
 
         for coset in cosets:
-            orbit, stab = orbit_and_stabilizer(G, act, coset)
+            orbit, stab = orbit_of(G, act, cosets, coset, G.generators)
             assert len(orbit) * stab.order == G.order
 
     def test_invalid_action_rejected(self):
@@ -313,14 +321,15 @@ class TestOrbitStabilizer:
             return -x if g == gen else x
 
         with pytest.raises(InvalidActionError):
-            orbit_and_stabilizer(G, broken, 1)
+            orbits(G, broken, (1, -1), G.generators)
 
     def test_stabilizer_that_is_no_subgroup_is_rejected(self):
-        # |orbit| * |stab| = |G| holds, but {(), (1234)} is not closed.
+        # |orbit| * |stab| = |G| holds, but {(), (1234)} is not closed;
+        # the generator's compatibility check sees it.
         G = resolve_group("Z4")
         half = {Permutation.identity(), perm("(1234)")}
-        with pytest.raises(InvalidActionError):
-            orbit_and_stabilizer(G, lambda g, x: x if g in half else -x, 1)
+        with pytest.raises(InvalidActionError, match="compatibility"):
+            orbits(G, lambda g, x: x if g in half else -x, (1, -1), G.generators)
 
     def test_defect_on_one_non_generator_is_caught(self):
         G = resolve_group("S4")
@@ -328,21 +337,28 @@ class TestOrbitStabilizer:
         assert bad not in G.generators
 
         def twisted(g, x):
-            # the natural action, except that one element swaps two images
-            y = g.images[x]
-            return {0: 1, 1: 0}.get(y, y) if g == bad else y
+            # the natural action on 0..3, and on 10..13 the natural action
+            # except that one element swaps two images
+            if x < 10:
+                return g(x)
+            y = g(x - 10)
+            return 10 + ({0: 1, 1: 0}.get(y, y) if g == bad else y)
 
         # The orbit and stabilizer counts are those of the natural action,
-        # so only the all-pairs check of the axioms sees the defect.
-        orbit, stab = orbit_and_stabilizer(G, twisted, 0)
-        assert len(orbit) * stab.order == G.order
-        with pytest.raises(InvalidActionError):
-            verify_action(G, twisted, orbit, G.elements)
+        # so only the check of the axioms sees the defect, on whichever
+        # orbit it lies.
+        stab = generate_group([perm("(234)"), perm("(34)")])
+        assert {g for g in G if twisted(g, 10) == 10} == set(stab)
+        assert orbits(G, twisted, (0, 1, 2, 3), G.generators) == [((0, 1, 2, 3), stab)]
+        for points in ((10, 11, 12, 13), (0, 1, 2, 3, 10, 11, 12, 13)):
+            for left in (G.elements, G.generators):
+                with pytest.raises(InvalidActionError, match="compatibility"):
+                    orbits(G, twisted, points, left)
 
     def test_identity_axiom_checked(self):
         G = resolve_group("Z2")
         with pytest.raises(InvalidActionError, match="identity axiom"):
-            verify_action(G, lambda g, x: x + 1, [0], G.generators)
+            orbits(G, lambda g, x: x + 1, (0,), G.generators)
 
     def test_orbit_is_breadth_first_order(self):
         # For a valid action the orbit comes out in the order of a
@@ -363,6 +379,6 @@ class TestOrbitStabilizer:
             for sigma in enumerate_sigma_configs(G):
                 act = pairing_action(sigma)
                 for x in ALL_PAIRINGS:
-                    orbit, stab = orbit_and_stabilizer(G, act, x)
+                    orbit, stab = orbit_of(G, act, ALL_PAIRINGS, x, G.elements)
                     assert orbit == breadth_first(G, act, x)
                     assert set(stab) == {g for g in G if act(g, x) == x}
