@@ -11,7 +11,6 @@ stdout early ends the command quietly, with its own exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -47,8 +46,12 @@ class CliError(ValueError):
     pass
 
 
-def _emit(args, text: str, payload: dict) -> None:
-    body = text if args.format == "text" else json.dumps(payload, indent=2)
+def _emit(args, body) -> None:
+    """Write a command's report: its text, or its JSON payload as JSON."""
+    if args.format == "json":
+        import json
+
+        body = json.dumps(body, indent=2)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -134,6 +137,8 @@ def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
 
 
 def _load_sweep_golden() -> dict:
+    import json
+
     text = (
         resources.files("nodalcount")
         .joinpath("data/theorem_sweep_golden.json")
@@ -144,6 +149,9 @@ def _load_sweep_golden() -> dict:
 
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each command returns (body, exit code), where body is the report in the
+# format it prints: text for --format text, a JSON payload for --format json.
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +159,13 @@ def cmd_marks(args) -> tuple:
     G = _group(args)
     marks = table_of_marks(G)
     labels = class_labels(G)
+    if args.format == "json":
+        payload = {
+            "group": args.group,
+            "classes": list(labels),
+            "marks": [list(row) for row in marks],
+        }
+        return payload, 0
     width = max(len(lbl) for lbl in labels)
     cells = [
         max(len(labels[k]), max(len(str(row[k])) for row in marks))
@@ -167,24 +182,25 @@ def cmd_marks(args) -> tuple:
             + " | "
             + "  ".join(str(v).rjust(c) for v, c in zip(row, cells))
         )
-    payload = {
-        "group": args.group,
-        "classes": list(labels),
-        "marks": [list(row) for row in marks],
-    }
-    return "\n".join(lines), payload, 0
+    return "\n".join(lines), 0
 
 
 def cmd_verify(args) -> tuple:
     report = nodal.verify(parse_sigma_spec(args.sigma, _group(args)))
-    return report.render_text(args.group), report.to_json(args.group), 0 if report.equal else 1
+    if args.format == "json":
+        body = report.to_json(args.group)
+    else:
+        body = report.render_text(args.group)
+    return body, 0 if report.equal else 1
 
 
 def cmd_verify_all(args) -> tuple:
     reports = nodal.verify_all(_group(args))
-    blocks = [r.render_text(args.group) for r in reports]
-    payload = {"group": args.group, "reports": [r.to_json(args.group) for r in reports]}
-    return "\n\n".join(blocks), payload, 0 if all(r.equal for r in reports) else 1
+    if args.format == "json":
+        body = {"group": args.group, "reports": [r.to_json(args.group) for r in reports]}
+    else:
+        body = "\n\n".join(r.render_text(args.group) for r in reports)
+    return body, 0 if all(r.equal for r in reports) else 1
 
 
 def _expanded_table(report: nodal.VerificationReport):
@@ -210,6 +226,15 @@ def _counterexample_report(args, label, analysis, report):
     ]
     base = [str(p) for p in analysis.base]
     expanded = _expanded_table(report)
+    if args.format == "json":
+        payload = report.to_json()
+        payload["pencil"] = label
+        payload["members"] = members
+        payload["base_locus"] = base
+        payload["full_table"] = [
+            {"subgroup": name, "lhs": lm, "rhs": rm} for name, lm, rm in expanded
+        ]
+        return payload
     lines = [f"pencil: {label}", "degenerate members:"]
     lines += [
         f"  t={m['t']}  {m['conic']}  =  ({m['lines'][0]}) * ({m['lines'][1]})"
@@ -218,14 +243,7 @@ def _counterexample_report(args, label, analysis, report):
     lines.append("base locus: " + ", ".join(base))
     lines.append(report.render_text(args.target))
     lines += ["", "full per-subgroup table:", *nodal.fixed_point_lines(expanded)]
-    payload = report.to_json()
-    payload["pencil"] = label
-    payload["members"] = members
-    payload["base_locus"] = base
-    payload["full_table"] = [
-        {"subgroup": name, "lhs": lm, "rhs": rm} for name, lm, rm in expanded
-    ]
-    return "\n".join(lines), payload
+    return "\n".join(lines)
 
 
 def cmd_counterexample(args) -> tuple:
@@ -245,22 +263,21 @@ def cmd_counterexample(args) -> tuple:
     try:
         analysis = analyze_pencil(case)
     except NotGeneral as exc:
-        text = f"pencil: {label}\nnot general: {exc.reason}"
-        return text, {"pencil": label, "general": False, "reason": exc.reason}, int(general)
+        if args.format == "json":
+            body = {"pencil": label, "general": False, "reason": exc.reason}
+        else:
+            body = f"pencil: {label}\nnot general: {exc.reason}"
+        return body, int(general)
     report = nodal.verify(analysis.sigma)
-    text, payload = _counterexample_report(args, label, analysis, report)
-    return text, payload, 0 if general and not report.equal else 1
+    body = _counterexample_report(args, label, analysis, report)
+    return body, 0 if general and not report.equal else 1
 
 
 def cmd_theorem_sweep(args) -> tuple:
     golden = {entry["group"]: entry["configs"] for entry in _load_sweep_golden()["groups"]}
-    lines = []
-    payload_groups = []
-    all_match = True
+    groups = []
     for name in PRESET_ORDER:
-        G = resolve_group(name)
-        reports = nodal.verify_all(G)
-        expected = golden.get(name)
+        reports = nodal.verify_all(resolve_group(name))
         observed = [
             {
                 "sigma": r.sigma.sigma_string(),
@@ -269,18 +286,19 @@ def cmd_theorem_sweep(args) -> tuple:
             }
             for r in reports
         ]
-        match = observed == expected
-        all_match = all_match and match
-        cells = " ".join(f"{o['sigma']}={'T' if o['equal'] else 'F'}" for o in observed)
-        status = "ok" if match else "DRIFT"
-        lines.append(f"{name:8s} [{status}] {cells}")
-        payload_groups.append(
-            {"group": name, "matches_golden": match, "configs": observed}
-        )
-    summary = "all groups match the golden table" if all_match else "drift detected"
-    lines.append(summary)
-    payload = {"groups": payload_groups, "matches_golden": all_match}
-    return "\n".join(lines), payload, 0 if all_match else 1
+        match = observed == golden.get(name)
+        groups.append({"group": name, "matches_golden": match, "configs": observed})
+    all_match = all(g["matches_golden"] for g in groups)
+    code = 0 if all_match else 1
+    if args.format == "json":
+        return {"groups": groups, "matches_golden": all_match}, code
+    lines = []
+    for g in groups:
+        cells = " ".join(f"{o['sigma']}={'T' if o['equal'] else 'F'}" for o in g["configs"])
+        status = "ok" if g["matches_golden"] else "DRIFT"
+        lines.append(f"{g['group']:8s} [{status}] {cells}")
+    lines.append("all groups match the golden table" if all_match else "drift detected")
+    return "\n".join(lines), code
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +385,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, payload, code = args.func(args)
-        _emit(args, text, payload)
+        body, code = args.func(args)
+        _emit(args, body)
         return code
     except (CliError, NotGeneral, IrrationalNodalParameter, FieldExtensionError) as exc:
         message = str(exc)

@@ -367,11 +367,17 @@ def orbits(G: PermGroup, action: Callable, points: Sequence, left: Sequence) -> 
     induction on word length.  An orbit that passes is a transitive G-set,
     so |orbit| * |stab| = |G| and the stabilizer is a subgroup of G, one of
     S4's.
+
+    The |left| * |G| products g*h depend on neither the orbit nor the
+    action, so they are formed once per call and shared by every orbit.
+    Each orbit reads them in (g, h) order, the order of ``left`` and of
+    G.elements, so sharing changes no check and no failure raised.
     """
     pointset = set(points)
     if len(pointset) != len(points):
         raise ValueError("duplicate points in a concrete G-set")
     identity = Permutation.identity()
+    products = [(g, [(h, g * h) for h in G.elements]) for g in left]
     found = []
     seen: set = set()
     for x in points:
@@ -383,12 +389,11 @@ def orbits(G: PermGroup, action: Callable, points: Sequence, left: Sequence) -> 
         for p in orbit:
             if action(identity, p) != p:
                 raise InvalidActionError(f"identity axiom fails at {p!r}")
-        for g in left:
+        for g, row in products:
             for p in orbit:
                 if action(g, p) not in pointset:
                     raise InvalidActionError(f"action leaves the point set at {g} . {p!r}")
-            for h in G.elements:
-                gh = g * h
+            for h, gh in row:
                 for p in orbit:
                     if action(gh, p) != action(g, action(h, p)):
                         raise InvalidActionError(

@@ -31,11 +31,12 @@ def test_star_import(name):
 def test_import_loads_no_dataclasses_or_inspect():
     # The records are NamedTuples and slotted classes, so a cold CLI start
     # does not pay for dataclasses (which pulls in inspect, ast and dis).
+    # The CLI imports json only where it writes or reads JSON.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import nodalcount, nodalcount.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(

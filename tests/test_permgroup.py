@@ -355,6 +355,50 @@ class TestOrbitStabilizer:
                 with pytest.raises(InvalidActionError, match="compatibility"):
                     orbits(G, twisted, points, left)
 
+    def test_products_are_formed_once_per_call(self, monkeypatch):
+        # Two orbits, the natural action on 0..3 and a copy of it on 10..13;
+        # the products g*h are shared by both, so one call forms at most
+        # |left| * |G| of them, however many orbits it checks.
+        G = resolve_group("S4")
+        count = 0
+        multiply = Permutation.__mul__
+
+        def counting(p, q):
+            nonlocal count
+            count += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        points = (0, 1, 2, 3, 10, 11, 12, 13)
+        for left, bound in ((G.generators, 48), (G.elements, 576)):
+            assert len(left) * G.order == bound
+            count = 0
+            found = orbits(G, lambda g, x: g(x) if x < 10 else 10 + g(x - 10), points, left)
+            assert [orbit for orbit, _ in found] == [(0, 1, 2, 3), (10, 11, 12, 13)]
+            assert count <= bound
+
+    def test_shared_products_keep_the_first_failure(self):
+        # The twisted action of test_defect_on_one_non_generator_is_caught,
+        # whose defect lies on the second orbit: the first failing (g, h, p)
+        # is the one found when each orbit formed its own products.
+        G = resolve_group("S4")
+        bad = perm("(13)(24)")
+
+        def twisted(g, x):
+            if x < 10:
+                return g(x)
+            y = g(x - 10)
+            return 10 + ({0: 1, 1: 0}.get(y, y) if g == bad else y)
+
+        message = (
+            "compatibility fails: (Permutation('(34)') * Permutation('(13)(24)')) . 12"
+            " != Permutation('(34)') . (Permutation('(13)(24)') . 12)"
+        )
+        for left in (G.elements, G.generators):
+            with pytest.raises(InvalidActionError) as caught:
+                orbits(G, twisted, (0, 1, 2, 3, 10, 11, 12, 13), left)
+            assert str(caught.value) == message
+
     def test_identity_axiom_checked(self):
         G = resolve_group("Z2")
         with pytest.raises(InvalidActionError, match="identity axiom"):
