@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -29,14 +28,7 @@ from .geometry import (
     klein_counterexample,
     line_to_string,
 )
-from .permgroup import (
-    class_index_of,
-    class_labels,
-    generate_group,
-    parse_permutation,
-    subgroup_classes,
-    subgroup_label,
-)
+from .permgroup import class_labels, subgroup_classes, subgroup_label
 from .presets import PRESET_ORDER, resolve_group
 
 __all__ = ["main"]
@@ -76,64 +68,6 @@ def _group(args):
         return resolve_group(args.group)
     except KeyError as exc:
         raise CliError(exc.args[0]) from None
-
-
-_SIGMA_TERM = re.compile(r"^(?:(\d+)\*|(\d*)\[G(?:/(.+))?\])$")
-
-
-def _count(digits: str) -> int:
-    """A term's count, judged from its digits: 4 points have at most 4 orbits."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > 1 or int(digits) > 4:
-        raise CliError("a count in a sigma spec is at most 4, the most orbits of 4 points")
-    return int(digits)
-
-
-def parse_sigma_spec(spec: str, G) -> nodal.SigmaConfig:
-    """Parse "+"-separated orbit terms: "k*" fixed points, "[G]", "k[G/<gens>]".
-
-    Each parenthesised cycle inside [G/...] is its own generator, so
-    "[G/(12),(34)]" and "[G/(12)(34)]" both name <(12),(34)>.  Counts are
-    at most 4, and the term multiset must describe a 4-point G-set.
-    """
-    multiset = []
-    for raw in spec.split("+"):
-        term = raw.strip()
-        if not term:
-            raise CliError(f"empty term in sigma spec {spec!r}")
-        match = _SIGMA_TERM.match(term)
-        if not match:
-            raise CliError(f"cannot parse sigma term {term!r}")
-        fixed, mult, gens_text = match.groups()
-        if fixed is not None:
-            multiset.extend([len(subgroup_classes(G)) - 1] * _count(fixed))
-            continue
-        count = _count(mult or "1")
-        if gens_text is None:
-            subgroup = generate_group([])
-        else:
-            try:
-                gens = [
-                    parse_permutation(f"({body})")
-                    for body in re.findall(r"\(([^()]*)\)", gens_text)
-                ]
-                # Each "(...)" is one generator, optionally followed by a comma.
-                # The whitespace after ")" has one place to go, so a failing
-                # match takes linear time.
-                if not re.fullmatch(r"\s*(?:\([^()]*\)\s*(?:,\s*)?)+", gens_text):
-                    raise ValueError(f"cannot parse generators {gens_text!r}")
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-            subgroup = generate_group(gens)
-        if not subgroup.is_subgroup_of(G):
-            raise CliError(
-                f"term {term!r} names a subgroup that does not lie in the group"
-            )
-        multiset.extend([class_index_of(G, subgroup)] * count)
-    try:
-        return nodal.sigma_from_classes(G, multiset)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _load_sweep_golden() -> dict:
@@ -186,7 +120,12 @@ def cmd_marks(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    report = nodal.verify(parse_sigma_spec(args.sigma, _group(args)))
+    G = _group(args)
+    try:
+        sigma = nodal.parse_sigma_spec(args.sigma, G)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    report = nodal.verify(sigma)
     if args.format == "json":
         body = report.to_json(args.group)
     else:
@@ -384,6 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--c=--" as an empty list of values
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name}: expected one argument")
     try:
         body, code = args.func(args)
         _emit(args, body)

@@ -413,9 +413,11 @@ def rank(rows: Sequence[Vec]) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_basis(rows: Sequence[Vec], width: int):
-    """Basis of the right kernel, from the reduced echelon form."""
-    reduced, pivots = rref(rows) if rows else ([], [])
+def kernel_basis(rows: Sequence[Vec]):
+    """Basis of the right kernel of a matrix with at least one row, from
+    the reduced echelon form."""
+    reduced, pivots = rref(rows)
+    width = len(rows[0])
     free = [c for c in range(width) if c not in pivots]
     basis = []
     for f in free:
@@ -644,7 +646,8 @@ def _rational_roots(coeffs) -> list:
     cubic has a real root inside the Cauchy bound B = 1 + max|coefficient|;
     integer bisection on [-B, B] either lands on it or traps it between two
     consecutive integers, which proves it irrational.  The quadratic left
-    after dividing out an integer root splits with math.isqrt.  Raises
+    after dividing out an integer root splits when ``_rational_sqrt``
+    finds its discriminant a square.  Raises
     IrrationalNodalParameter if any root is irrational.
     """
     poly = list(coeffs)
@@ -669,9 +672,8 @@ def _rational_roots(coeffs) -> list:
         monic = [c1 + y * (c2 + y), c2 + y]
     if len(monic) == 2:
         c0, c1 = monic
-        disc = c1 * c1 - 4 * c0
-        root = math.isqrt(disc) if disc >= 0 else -1
-        if root * root != disc:
+        root = _rational_sqrt(c1 * c1 - 4 * c0)
+        if root is None:
             raise IrrationalNodalParameter("determinant cubic has an irrational root")
         ys += [(-c1 - root) // 2, (-c1 + root) // 2]
     elif monic:
@@ -717,7 +719,7 @@ def factor_degenerate(c: Conic) -> tuple:
     conic up to a scalar (checked).  Rank 3 input is rejected.
     """
     M = c.sym_matrix()
-    kernel = kernel_basis(list(M), 3)
+    kernel = kernel_basis(M)
     if not kernel:
         raise ValueError("conic is not degenerate")
     if len(kernel) == 2:  # rank 1
@@ -725,14 +727,13 @@ def factor_degenerate(c: Conic) -> tuple:
         if not conic_from_lines(row, row).is_proportional(c):
             raise ArithmeticError("rank-1 factorization failed")
         return row, row
-    # rank 2: restrict to a plane complementary to the singular point
+    # rank 2: restrict to a plane complementary to the singular point p.
+    # det(p, e_i, e_j) = ±p_k for {i, j, k} = {0, 1, 2}, so the plane of
+    # e_i and e_j is complementary exactly when p_k is nonzero.
     p = kernel[0]
+    k = next(k for k in (2, 1, 0) if not p[k].is_zero())
     e = identity_matrix(3)
-    basis = next(
-        (e[i], e[j]) for i, j in ((0, 1), (0, 2), (1, 2))
-        if not det3((p, e[i], e[j])).is_zero()
-    )
-    q1, q2 = _split_on_line(M, *basis)
+    q1, q2 = _split_on_line(M, *(e[i] for i in range(3) if i != k))
     l1 = cross(q1, p)
     l2 = cross(q2, p)
     if not conic_from_lines(l1, l2).is_proportional(c):
@@ -784,7 +785,7 @@ def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
         raise NotGeneral("repeated base point")
     M = (g if t[1] == 0 else f).sym_matrix()
     points = [
-        ProjPoint(q) for line in lines for q in _split_on_line(M, *kernel_basis([line], 3))
+        ProjPoint(q) for line in lines for q in _split_on_line(M, *kernel_basis([line]))
     ]
     if len(set(points)) != 4:
         raise NotGeneral("repeated base point")
@@ -801,7 +802,7 @@ def pencil_through(points: Sequence[ProjPoint]) -> tuple:
     if len(points) != 4:
         raise ValueError("a pencil is determined by four base points")
     rows = [_monomial_row(p) for p in points]
-    basis = kernel_basis(rows, 6)
+    basis = kernel_basis(rows)
     if len(basis) != 2:
         raise NotGeneral("three collinear")
     return Conic(basis[0]), Conic(basis[1])

@@ -8,10 +8,14 @@ weight in the Burnside ring (induce the virtual branch set [X] - {*} from
 the stabilizer), sum the weights, and compare against [Sigma] - {*} mark
 by mark.  The comparison is reported, not assumed: the verifier prints
 the full fixed-point table either way.
+
+A configuration's text form, its sigma spec, is written by
+``SigmaConfig.sigma_string`` and read back by ``parse_sigma_spec``.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -19,8 +23,11 @@ from .burnside import BurnsideElement, be_equal, decompose, inflate
 from .permgroup import (
     PermGroup,
     Permutation,
+    class_index_of,
     class_labels,
+    generate_group,
     orbits,
+    parse_permutation,
     subgroup_classes,
     subgroup_label,
 )
@@ -31,6 +38,7 @@ __all__ = [
     "SigmaConfig",
     "enumerate_sigma_configs",
     "sigma_from_classes",
+    "parse_sigma_spec",
     "pairing_action",
     "NodalOrbitReport",
     "nodal_orbit_reports",
@@ -150,6 +158,60 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
     return SigmaConfig.from_action(G, point_action)
 
 
+_SIGMA_TERM = re.compile(r"^(?:(\d+)\*|(\d*)\[G(?:/(.+))?\])$")
+
+
+def _count(digits: str) -> int:
+    """A term's count, judged from its digits: 4 points have at most 4 orbits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 1 or int(digits) > 4:
+        raise ValueError("a count in a sigma spec is at most 4, the most orbits of 4 points")
+    return int(digits)
+
+
+def parse_sigma_spec(spec: str, G: PermGroup) -> SigmaConfig:
+    """Read what ``SigmaConfig.sigma_string`` writes: "+"-separated orbit
+    terms, "k*" fixed points, "[G]", "k[G/<gens>]".
+
+    Each parenthesised cycle inside [G/...] is its own generator, so
+    "[G/(12),(34)]" and "[G/(12)(34)]" both name <(12),(34)>.  Counts are
+    at most 4, and the term multiset must describe a 4-point G-set, or
+    ValueError is raised.
+    """
+    multiset = []
+    for raw in spec.split("+"):
+        term = raw.strip()
+        if not term:
+            raise ValueError(f"empty term in sigma spec {spec!r}")
+        match = _SIGMA_TERM.match(term)
+        if not match:
+            raise ValueError(f"cannot parse sigma term {term!r}")
+        fixed, mult, gens_text = match.groups()
+        if fixed is not None:
+            multiset.extend([len(subgroup_classes(G)) - 1] * _count(fixed))
+            continue
+        count = _count(mult or "1")
+        if gens_text is None:
+            subgroup = generate_group([])
+        else:
+            gens = [
+                parse_permutation(f"({body})")
+                for body in re.findall(r"\(([^()]*)\)", gens_text)
+            ]
+            # Each "(...)" is one generator, optionally followed by a comma.
+            # The whitespace after ")" has one place to go, so a failing
+            # match takes linear time.
+            if not re.fullmatch(r"\s*(?:\([^()]*\)\s*(?:,\s*)?)+", gens_text):
+                raise ValueError(f"cannot parse generators {gens_text!r}")
+            subgroup = generate_group(gens)
+        if not subgroup.is_subgroup_of(G):
+            raise ValueError(
+                f"term {term!r} names a subgroup that does not lie in the group"
+            )
+        multiset.extend([class_index_of(G, subgroup)] * count)
+    return sigma_from_classes(G, multiset)
+
+
 def enumerate_sigma_configs(G: PermGroup) -> list:
     """All 4-point G-sets up to isomorphism, each realized with one labeling.
 
@@ -239,12 +301,11 @@ class VerificationReport(NamedTuple):
     witnesses: tuple
     table: tuple  # rows (class_index, lhs mark, rhs mark)
 
-    def render_text(self, group_name: str | None = None) -> str:
+    def render_text(self, group_name: str) -> str:
         G = self.sigma.ambient
         labels = class_labels(G)
-        name = group_name or subgroup_label(G)
         lines = [
-            f"group: {name}",
+            f"group: {group_name}",
             f"sigma: {self.sigma.sigma_string()}  ->  {self.sigma.decomposition.render()}",
             "orbits:",
         ]

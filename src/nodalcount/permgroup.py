@@ -126,32 +126,23 @@ def parse_permutation(text: str) -> Permutation:
     stray = _CYCLE_BODY.sub("", text).strip()
     if stray:
         raise ValueError(f"cannot parse permutation {text!r}: stray {stray!r}")
-    cycles = []
-    for body in _CYCLE_BODY.findall(text):
-        body = body.strip()
-        if not body:
-            continue
-        if re.search(r"[ ,]", body):
-            tokens = [tok for tok in re.split(r"[ ,]+", body) if tok]
-        else:
-            if not body.isdigit():
-                raise ValueError(f"cannot parse cycle ({body})")
-            tokens = list(body)
-        points = []
-        for tok in tokens:
-            if not tok.isdigit():
-                raise ValueError(f"cannot parse cycle ({body})")
-            point = int(tok) - 1
-            if not 0 <= point < 4:
-                raise ValueError(f"point {tok} out of range in {text!r} for degree 4")
-            points.append(point)
-        cycles.append(points)
     # The product of the cycles, the rightmost applied first.  A cycle of
     # distinct points in range is a bijection, so each factor is trusted.
     result = Permutation.identity()
-    for cycle in cycles:
-        if len(set(cycle)) != len(cycle):
-            raise ValueError(f"repeated point in cycle {cycle!r}")
+    for body in _CYCLE_BODY.findall(text):
+        body = body.strip()
+        tokens = re.split(r"[ ,]+", body) if re.search(r"[ ,]", body) else body
+        cycle = []
+        for tok in filter(None, tokens):
+            # isdecimal holds for exactly the digits that int() reads
+            if not tok.isdecimal():
+                raise ValueError(f"cannot parse cycle ({body})")
+            point = int(tok) - 1
+            if not 0 <= point < 4:
+                raise ValueError(f"point {tok} out of range in {text!r}")
+            if point in cycle:
+                raise ValueError(f"repeated point in cycle ({body})")
+            cycle.append(point)
         imgs = list(_POINTS)
         for i, point in enumerate(cycle):
             imgs[point] = cycle[(i + 1) % len(cycle)]

@@ -262,7 +262,7 @@ def d8_invariant_structure(a: int, b: int) -> dict:
         rows_rot = eigen_rows(S_rot, lam)
         for mu in (1, -1):
             rows = rows_rot + eigen_rows(S_ref, mu)
-            intersections[(lam, mu)] = kernel_basis(rows, 6)
+            intersections[(lam, mu)] = kernel_basis(rows)
 
     basis = {name: vec(v) for name, v in _D8_CONICS.items()}
     checks = (

@@ -538,3 +538,10 @@ def test_render_is_the_signed_sum_of_the_json_terms(name, data):
             else:
                 text += f" - {body}" if term["n"] < 0 else f" + {body}"
         assert x.render() == (text or "0")
+
+
+def test_inflate_refuses_an_element_over_another_group():
+    G = resolve_group("S4")
+    H = subgroup(G, "(12)")
+    with pytest.raises(ValueError, match="element to inflate must live over the given subgroup"):
+        inflate(G, H, BurnsideElement.point(G))

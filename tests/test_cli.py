@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nodalcount.cli import main, parse_sigma_spec
-from nodalcount.nodal import enumerate_sigma_configs
+from nodalcount.cli import build_parser, main
+from nodalcount.nodal import enumerate_sigma_configs, parse_sigma_spec
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import deadline
 
@@ -103,6 +104,22 @@ class TestHostileSigmaSpecs:
         self.exits_two(capsys, spec)
 
 
+# A valid value for each required option, so that only the option under
+# test can fail.
+REQUIRED_VALUES = {"--group": "S4", "--sigma": "4*"}
+
+
+def one_value_options(parser, command=()):
+    """(command words, their parser, option string) for every option that
+    takes one value, through every subparser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from one_value_options(sub, (*command, name))
+        elif action.option_strings and action.nargs is None:
+            yield command, parser, action.option_strings[0]
+
+
 class TestCommands:
     def test_verify_trivial(self, capsys):
         code, out = run(capsys, "verify", "--group", "trivial", "--sigma", "4*")
@@ -149,10 +166,23 @@ class TestCommands:
                 "parameters c and d must be nonzero",
             ),
             (["counterexample", "d8", "--a", "2"], "argument --a: expected +1 or -1"),
-            (["verify", "--group", "S4", "--sigma", "4*+"], "empty term in sigma spec"),
+            (["verify", "--group", "S4", "--sigma", "4*+"], "empty term in sigma spec '4*+'"),
             (["verify", "--group", "S4", "--sigma", "[G/(1x)]"], "cannot parse cycle (1x)"),
+            # "²" is a digit to str.isdigit, but int() cannot read it
+            (["verify", "--group", "S4", "--sigma", "[G/(1²)]"], "cannot parse cycle (1²)"),
+            (["verify", "--group", "S4", "--sigma", "[G/(11)]"], "repeated point in cycle (11)"),
+            (["verify", "--group", "S4", "--sigma", "[G/(15)]"], "point 5 out of range in '(15)'"),
         ],
-        ids=["zero-c", "zero-d", "bad-sign", "empty-term", "bad-cycle"],
+        ids=[
+            "zero-c",
+            "zero-d",
+            "bad-sign",
+            "empty-term",
+            "bad-cycle",
+            "superscript-digit",
+            "repeated-point",
+            "point-out-of-range",
+        ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, argv, message):
         # An argparse error exits through SystemExit after its usage lines;
@@ -165,7 +195,30 @@ class TestCommands:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         errors = [line for line in captured.err.splitlines() if "error: " in line]
-        assert len(errors) == 1 and message in errors[0]
+        assert len(errors) == 1 and errors[0].endswith(message)
+
+    def test_option_given_as_double_dash_exits_two(self, capsys):
+        # argparse reads "--c=--" as an empty list; each option refuses it
+        # as a usage error instead of crashing or ignoring it.
+        seen = []
+        for command, parser, option in one_value_options(build_parser()):
+            required = [
+                arg
+                for a in parser._actions
+                if a.required and a.option_strings and a.option_strings[0] != option
+                for arg in (a.option_strings[0], REQUIRED_VALUES[a.option_strings[0]])
+            ]
+            argv = [*command, *required, f"{option}=--"]
+            if not command:  # a global option, before a command
+                argv = [f"{option}=--", "marks", "--group", "S4"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), argv
+            errors = [line for line in captured.err.splitlines() if "error: " in line]
+            assert len(errors) == 1 and option in errors[0], argv
+            seen.append(option)
+        assert {"--format", "--output", "--group", "--sigma", "--c", "--case"} <= set(seen)
 
     def test_counterexample_klein(self, capsys):
         code, out = run(capsys, "counterexample", "klein")

@@ -1181,3 +1181,70 @@ class TestD8Pipeline:
             for p in analysis.base:
                 assert case.f(p).is_zero()
                 assert case.g(p).is_zero()
+
+
+SQRT2 = QuadExt(0, 1, 2)
+SINGULAR = mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+XYZ = Conic((1, 1, 1, 0, 0, 0))
+THREE_POINTS = [ProjPoint((1, 0, 0)), ProjPoint((0, 1, 0)), ProjPoint((0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QuadExt(1, 1), ValueError, "a radical part needs a radicand"),
+        (lambda: QuadExt(0).inverse(), ZeroDivisionError, "division by zero"),
+        (lambda: ProjPoint((1, 2)), ValueError, "a projective point has three coordinates"),
+        (lambda: Conic((1, 0, 0, 0, 0)), ValueError, "a conic has six coefficients"),
+        (lambda: Conic((0,) * 6), ValueError, "the zero polynomial is not a conic"),
+        (
+            lambda: apply_matrix(SINGULAR, ProjPoint((1, 2, 3))),
+            ValueError,
+            "projective transformations must be invertible",
+        ),
+        (lambda: sym2(SINGULAR), ValueError, "sym2 expects an invertible matrix"),
+        (
+            lambda: pencil_invariant(klein_representation()[1], XYZ, XYZ),
+            ValueError,
+            "f and g do not span a pencil",
+        ),
+        (
+            lambda: nodal_members(XYZ, Conic((SQRT2, 1, 1, 0, 0, 0))),
+            IrrationalNodalParameter,
+            "determinant cubic has coefficients outside Q",
+        ),
+        (
+            lambda: pencil_through(THREE_POINTS),
+            ValueError,
+            "a pencil is determined by four base points",
+        ),
+        (
+            lambda: pencil_through([ProjPoint((1, k, 0)) for k in range(4)]),
+            NotGeneral,
+            "three collinear",
+        ),
+        (
+            lambda: induced_sigma(klein_representation()[1], THREE_POINTS, resolve_group("V")),
+            ValueError,
+            "expected a base locus of four points",
+        ),
+    ],
+    ids=[
+        "radical-without-radicand",
+        "inverse-of-zero",
+        "two-coordinates",
+        "five-coefficients",
+        "zero-conic",
+        "apply-singular-matrix",
+        "sym2-singular-matrix",
+        "pencil-invariant-one-conic",
+        "nodal-members-sqrt2",
+        "pencil-through-three-points",
+        "pencil-through-collinear-points",
+        "induced-sigma-three-points",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)

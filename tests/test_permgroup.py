@@ -426,3 +426,13 @@ class TestOrbitStabilizer:
                     orbit, stab = orbit_of(G, act, ALL_PAIRINGS, x, G.elements)
                     assert orbit == breadth_first(G, act, x)
                     assert set(stab) == {g for g in G if act(g, x) == x}
+
+
+def test_foreign_subgroup_is_refused():
+    # V, the normal Klein group, holds no transposition
+    V = resolve_group("V")
+    H = generate_group([perm("(12)")])
+    with pytest.raises(ValueError, match="is not a subgroup of the ambient group"):
+        class_index_of(V, H)
+    with pytest.raises(ValueError, match="left_cosets expects a subgroup"):
+        V.left_cosets(H)
