@@ -28,7 +28,7 @@ __all__ = [
     "BurnsideElement",
     "be_equal",
     "decompose",
-    "inflate",
+    "induce",
 ]
 
 
@@ -231,15 +231,15 @@ def decompose(G: PermGroup, points: tuple, act: Callable) -> BurnsideElement:
     return BurnsideElement(G, tuple(coeffs))
 
 
-def inflate(G: PermGroup, H: PermGroup, x: BurnsideElement) -> BurnsideElement:
+def induce(G: PermGroup, H: PermGroup, x: BurnsideElement) -> BurnsideElement:
     """Induction Ind_H^G along H <= G: G x_H (H/K) = G/K, so the coefficient
     of [H/K] moves to [G/K].  Linear in x, so virtual elements induce term by
     term.  Inflation is another map, the pull-back along a quotient G -> G/N.
     """
     if x.ambient != H:
-        raise ValueError("element to inflate must live over the given subgroup")
+        raise ValueError("element to induce must live over the given subgroup")
     if not H.is_subgroup_of(G):
-        raise ValueError("inflation requires H to be a subgroup of G")
+        raise ValueError("induction requires H to be a subgroup of G")
     coeffs = [0] * len(subgroup_classes(G))
     for hcls in subgroup_classes(H):
         n = x.coeffs[hcls.class_index]

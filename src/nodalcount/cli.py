@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -246,14 +247,14 @@ def cmd_theorem_sweep(args) -> tuple:
 
 
 def _fraction(text: str) -> Fraction:
-    """A rational from its text, refused before Fraction expands an exponent
-    into a numerator or denominator longer than Python prints: "1e10000000"
-    is 11 characters, and its numerator has ten million digits."""
+    """A rational from its text.  A digit run or an expanded exponent longer than
+    Python prints ("1e10000000") is refused, unechoed, before Fraction builds it."""
     mantissa, marker, exponent = text.upper().partition("E")
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    run = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     try:
-        if marker and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit:
-            raise ValueError(text)
+        if run > limit or (marker and sum(map(str.isdigit, mantissa)) + abs(int(exponent)) > limit):
+            raise argparse.ArgumentTypeError(f"more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")

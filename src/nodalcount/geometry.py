@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .burnside import _signed_sum
@@ -37,7 +36,6 @@ __all__ = [
     "mat_mul",
     "mat_vec",
     "apply_matrix",
-    "collinear",
     "pencil_invariant",
     "nodal_members",
     "factor_degenerate",
@@ -505,15 +503,6 @@ class Conic:
     def is_proportional(self, other: "Conic") -> bool:
         return rank([self.coeffs, other.coeffs]) == 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Conic) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __str__(self) -> str:
-        return conic_to_string(self)
-
     def __repr__(self) -> str:
         return f"Conic({conic_to_string(self)})"
 
@@ -590,10 +579,6 @@ def sym2(M: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # Pencils: invariance, degenerate members, base locus
 # ---------------------------------------------------------------------------
-
-
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    return det3((p.coords, q.coords, r.coords)).is_zero()
 
 
 def pencil_invariant(rep: Mapping[Permutation, Matrix], f: Conic, g: Conic) -> bool:
@@ -727,28 +712,26 @@ def factor_degenerate(c: Conic) -> tuple:
         if not conic_from_lines(row, row).is_proportional(c):
             raise ArithmeticError("rank-1 factorization failed")
         return row, row
-    # rank 2: restrict to a plane complementary to the singular point p.
-    # det(p, e_i, e_j) = ±p_k for {i, j, k} = {0, 1, 2}, so the plane of
-    # e_i and e_j is complementary exactly when p_k is nonzero.
+    # rank 2: split on a line x_k = 0 that misses the singular point p,
+    # that is, one with p_k nonzero.
     p = kernel[0]
     k = next(k for k in (2, 1, 0) if not p[k].is_zero())
-    e = identity_matrix(3)
-    q1, q2 = _split_on_line(M, *(e[i] for i in range(3) if i != k))
-    l1 = cross(q1, p)
-    l2 = cross(q2, p)
+    q1, q2 = _split_on_line(M, identity_matrix(3)[k])
+    l1, l2 = cross(q1, p), cross(q2, p)
     if not conic_from_lines(l1, l2).is_proportional(c):
         raise ArithmeticError("rank-2 factorization failed")
     return (l1, l2)
 
 
-def _split_on_line(M: Matrix, u: Vec, v: Vec) -> tuple:
-    """The two zeros of the quadratic form M on the line through u and v.
+def _split_on_line(M: Matrix, line: Vec) -> tuple:
+    """The two zeros of the quadratic form M on a line, adjoining at most one radical.
 
-    Writes the restriction at s*u + t*v as alpha s^2 + beta s t + gamma t^2,
-    read off M u and M v, and splits it, adjoining at most one radical.
-    Raises NotGeneral when the restriction vanishes ("common component")
-    or has a double zero ("repeated base point").
+    The restriction at s*u + t*v, u and v the line's kernel basis, is
+    alpha s^2 + beta s t + gamma t^2, read off M u and M v.  Raises
+    NotGeneral when it vanishes ("common component") or has a double
+    zero ("repeated base point").
     """
+    u, v = kernel_basis([line])
     Mu, Mv = mat_vec(M, u), mat_vec(M, v)
     alpha, beta, gamma = _dot(u, Mu), 2 * _dot(u, Mv), _dot(v, Mv)
     if alpha.is_zero() and beta.is_zero() and gamma.is_zero():
@@ -773,24 +756,19 @@ def base_locus(f: Conic, g: Conic, t: tuple, lines: tuple) -> list:
     """The four base points of a general pencil, exactly.
 
     ``t`` = (mu, lambda) names a degenerate member mu*f + lambda*g and
-    ``lines`` is its factorization (from ``factor_degenerate``).  Each
-    line is intersected with a member independent of it, possibly after
-    one radical adjunction (``_split_on_line``).  Raises
-    NotGeneral with reason "common component", "repeated base point" or
-    "three collinear" when the pencil is not general.  The last cannot fire
-    after the distinct-points check: of any three points two share a line,
-    so the third on it would be a third zero of M there.
+    ``lines`` is its factorization (from ``factor_degenerate``); each line
+    is split on a member independent of it (``_split_on_line``).  Raises
+    NotGeneral ("common component" or "repeated base point") when the
+    pencil is not general.  Four distinct points have no three collinear:
+    of any three, two share a line, and the third on it would be a third
+    zero of M there.
     """
     if lines[0] == lines[1]:
         raise NotGeneral("repeated base point")
     M = (g if t[1] == 0 else f).sym_matrix()
-    points = [
-        ProjPoint(q) for line in lines for q in _split_on_line(M, *kernel_basis([line]))
-    ]
+    points = [ProjPoint(q) for line in lines for q in _split_on_line(M, line)]
     if len(set(points)) != 4:
         raise NotGeneral("repeated base point")
-    if any(collinear(*triple) for triple in combinations(points, 3)):
-        raise NotGeneral("three collinear")
     for p in points:
         if not f(p).is_zero() or not g(p).is_zero():
             raise ArithmeticError("base point fails to satisfy the pencil exactly")
@@ -891,6 +869,12 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
     return PencilAnalysis(tuple(members), tuple(lines), tuple(base), sigma)
 
 
+def _representation(generators: Mapping[str, list]) -> tuple:
+    """(G, rep) from each generator's cycles and integer matrix rows."""
+    images = {parse_permutation(cycle): mat(rows) for cycle, rows in generators.items()}
+    return _hom_from_generators(images, mat_mul, identity_matrix(3))
+
+
 # -- dihedral group of order 8 on P^2 ---------------------------------------
 
 
@@ -920,11 +904,8 @@ def d8_representation(a: int, b: int):
     """
     if a not in (1, -1) or b not in (1, -1):
         raise ValueError("signs a and b must be +1 or -1")
-    images = {
-        parse_permutation("(1234)"): mat([[0, -1, 0], [1, 0, 0], [0, 0, a]]),
-        parse_permutation("(13)"): mat([[1, 0, 0], [0, -1, 0], [0, 0, b]]),
-    }
-    return _hom_from_generators(images, mat_mul, identity_matrix(3))
+    return _representation({"(1234)": [[0, -1, 0], [1, 0, 0], [0, 0, a]],
+                            "(13)": [[1, 0, 0], [0, -1, 0], [0, 0, b]]})
 
 
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
@@ -973,11 +954,8 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
 def klein_representation():
     """The normal Klein four-group with its exact 3x3 matrices, built once;
     the matrix table is a read-only mapping that every caller shares."""
-    images = {
-        parse_permutation("(12)(34)"): mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
-        parse_permutation("(13)(24)"): mat([[0, -1, 1], [0, -1, 0], [1, -1, 0]]),
-    }
-    return _hom_from_generators(images, mat_mul, identity_matrix(3))
+    return _representation({"(12)(34)": [[-1, 1, 0], [0, 1, 0], [0, 1, -1]],
+                            "(13)(24)": [[0, -1, 1], [0, -1, 0], [1, -1, 0]]})
 
 
 def klein_counterexample() -> PencilCase:

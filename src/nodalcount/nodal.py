@@ -19,7 +19,7 @@ import re
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .burnside import BurnsideElement, be_equal, decompose, inflate
+from .burnside import BurnsideElement, be_equal, decompose, induce
 from .permgroup import (
     PermGroup,
     Permutation,
@@ -274,7 +274,7 @@ def nodal_orbit_reports(sigma: SigmaConfig) -> list:
     for orbit, stab in orbits(G, act, ALL_PAIRINGS, G.elements):
         rep = orbit[0]
         branch_be = decompose(stab, rep, act)
-        weight = inflate(G, stab, branch_be - BurnsideElement.point(stab))
+        weight = induce(G, stab, branch_be - BurnsideElement.point(stab))
         reports.append(
             NodalOrbitReport(rep, tuple(sorted(orbit)), stab, branch_be, weight)
         )

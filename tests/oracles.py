@@ -1,14 +1,14 @@
 """Test-only oracles: concrete G-set constructions checked against the ring,
 brute-force subgroup searches checked against ``permgroup``, the mark
 defect of ``verify``'s table counted from the definitions, restriction
-to a subgroup read off marks, a change of coordinates on conics, the D8
-invariant-subspace structure the dihedral pencils are spanned from,
-square stripping by trial division over every d, and a deadline for
-checks that must not hang.
+to a subgroup read off marks, collinearity of three points, a change of
+coordinates on conics, the D8 invariant-subspace structure the dihedral
+pencils are spanned from, square stripping by trial division over every
+d, and a deadline for checks that must not hang.
 
 Each G-set oracle builds a literal G-set as a (group, points, action)
 triple, so ``decompose`` of it is an answer that the Burnside-ring
-formulas (``inflate``, products, sums) must reproduce.  The subgroup
+formulas (``induce``, products, sums) must reproduce.  The subgroup
 oracles close sets under all pairwise products, not over generator
 edges, and assume no bound on the number of generators.
 """
@@ -23,6 +23,7 @@ from nodalcount.geometry import (
     ZERO,
     Conic,
     d8_representation,
+    det3,
     identity_matrix,
     kernel_basis,
     mat_mul,
@@ -62,17 +63,17 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def inflate_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
+def induce_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
     """The literal quotient (G x X)/~ with (gh, x) ~ (g, h.x), as a G-set triple.
 
     Points are (coset representative index, x) pairs with the equivalence
-    applied eagerly; used as the independent oracle for ``inflate``.
+    applied eagerly; used as the independent oracle for ``induce``.
     """
     ambient, xs, act = S
     if ambient != H:
-        raise ValueError("concrete inflation expects an H-set")
+        raise ValueError("concrete induction expects an H-set")
     if not H.is_subgroup_of(G):
-        raise ValueError("concrete inflation requires H <= G")
+        raise ValueError("concrete induction requires H <= G")
     cosets = G.left_cosets(H)
     reps = [coset[0] for coset in cosets]
     split = {}
@@ -191,6 +192,11 @@ def has_klein_four(H) -> bool:
     e = Permutation.identity()
     involutions = [h for h in H if h != e and h * h == e]
     return any(a * b == b * a for a, b in combinations(involutions, 2))
+
+
+def collinear(p, q, r) -> bool:
+    """Whether three projective points lie on one line: det(p, q, r) = 0."""
+    return det3((p.coords, q.coords, r.coords)).is_zero()
 
 
 def mat_inverse(M):

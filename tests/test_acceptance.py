@@ -36,14 +36,13 @@ from nodalcount.burnside import (
     _coeffs_from_marks,
     be_equal,
     decompose,
-    inflate,
+    induce,
 )
 from nodalcount.geometry import (
     NotGeneral,
     ProjPoint,
     analyze_pencil,
     apply_matrix,
-    collinear,
     d8_case_suite,
     d8_representation,
     klein_counterexample,
@@ -72,8 +71,9 @@ from nodalcount.permgroup import (
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
+    collinear,
     d8_invariant_structure,
-    inflate_concrete,
+    induce_concrete,
     product_gset,
     span_equal,
 )
@@ -592,13 +592,13 @@ def test_criterion_8b_inflation_oracle():
             extend(0, 4, ())
             for multiset in multisets:
                 S = _coset_table_gset(H, multiset)
-                if decompose(*inflate_concrete(G, H, S)) != inflate(
+                if decompose(*induce_concrete(G, H, S)) != induce(
                     G, H, decompose(*S)
                 ):
                     failures.append((name, subgroup_label(H), multiset))
     check(
         "8b",
-        "inflation equals decomposing the literal (G x X)/~ for all H <= G, |X| <= 4",
+        "induction equals decomposing the literal (G x X)/~ for all H <= G, |X| <= 4",
         not failures,
         str(failures[:5]),
     )
@@ -651,7 +651,7 @@ def test_criterion_9_weight_well_definedness():
                             sorted(sigma.point_action[h](i) for i in blk)
                         ),
                     )
-                    weight = inflate(
+                    weight = induce(
                         G, stab, branch - BurnsideElement.point(stab)
                     )
                     if weight != report.weight:

@@ -8,7 +8,7 @@ from nodalcount.burnside import (
     BurnsideElement,
     be_equal,
     decompose,
-    inflate,
+    induce,
     table_of_marks,
 )
 from nodalcount.permgroup import (
@@ -20,7 +20,7 @@ from nodalcount.permgroup import (
     all_subgroups,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import disjoint_union_gset, inflate_concrete, product_gset
+from oracles import disjoint_union_gset, induce_concrete, product_gset
 
 
 def perm(text):
@@ -215,7 +215,7 @@ class TestEquality:
             )
 
     def test_a4_weight_vs_base_locus_difference(self):
-        # The inflated-weight side and the base-locus side of the natural
+        # The induced-weight side and the base-locus side of the natural
         # A4 configuration are genuinely different virtual sets: their
         # marks disagree at the normal Klein subgroup and at A4 itself.
         G = resolve_group("A4")
@@ -286,6 +286,15 @@ def test_marks_are_ring_homomorphisms(pair):
 
 
 class TestMulIdentities:
+    def test_integer_multiple_commutes(self):
+        G = resolve_group("S3")
+        x = BurnsideElement(G, tuple(range(len(subgroup_classes(G)))))
+        assert x * 3 == 3 * x == BurnsideElement(G, tuple(3 * c for c in x.coeffs))
+
+    def test_an_integer_is_not_an_element(self):
+        with pytest.raises(TypeError):
+            BurnsideElement.point(resolve_group("S3")) + 1
+
     def test_non_integral_mark_vector_rejected(self):
         from nodalcount.burnside import _coeffs_from_marks
 
@@ -422,7 +431,7 @@ def test_product_decomposition_oracle():
 
 
 # ---------------------------------------------------------------------------
-# inflation
+# induction
 # ---------------------------------------------------------------------------
 
 
@@ -431,12 +440,12 @@ class TestInflate:
         G = resolve_group("S3")
         triv = generate_group([])
         x = BurnsideElement.point(triv)
-        assert inflate(G, triv, x) == BurnsideElement.from_subgroup(G, triv)
+        assert induce(G, triv, x) == BurnsideElement.from_subgroup(G, triv)
 
     def test_h_equal_g_is_identity(self):
         G = resolve_group("D8")
         x = BurnsideElement(G, tuple(range(len(subgroup_classes(G)))))
-        assert inflate(G, G, x) == x
+        assert induce(G, G, x) == x
 
     def test_a4_weight_formula(self):
         G = resolve_group("A4")
@@ -445,7 +454,7 @@ class TestInflate:
         x = BurnsideElement.from_subgroup(
             klein, flip_in_klein
         ) - BurnsideElement.point(klein)
-        assert inflate(G, klein, x) == (
+        assert induce(G, klein, x) == (
             BurnsideElement.from_subgroup(G, flip_in_klein)
             - BurnsideElement.from_subgroup(G, klein)
         )
@@ -454,7 +463,7 @@ class TestInflate:
         G = resolve_group("A4")
         H = resolve_group("Z2")  # a transposition is not in A4
         with pytest.raises(ValueError):
-            inflate(G, H, BurnsideElement.point(H))
+            induce(G, H, BurnsideElement.point(H))
 
     def test_linear_in_virtual_elements(self):
         G = resolve_group("D8")
@@ -464,12 +473,12 @@ class TestInflate:
         for _ in range(20):
             x = BurnsideElement(H, tuple(rng.randint(-3, 3) for _ in range(n)))
             y = BurnsideElement(H, tuple(rng.randint(-3, 3) for _ in range(n)))
-            assert inflate(G, H, x + y) == inflate(G, H, x) + inflate(G, H, y)
-            assert inflate(G, H, -x) == -inflate(G, H, x)
+            assert induce(G, H, x + y) == induce(G, H, x) + induce(G, H, y)
+            assert induce(G, H, -x) == -induce(G, H, x)
 
 
 def test_inflation_matches_literal_quotient_construction():
-    """inflate agrees with decomposing the eagerly built (G x X)/~ for every
+    """induce agrees with decomposing the eagerly built (G x X)/~ for every
     subgroup pair and every H-set type of size <= 4."""
     for name in PRESET_ORDER:
         G = resolve_group(name)
@@ -504,8 +513,8 @@ def test_inflation_matches_literal_quotient_construction():
                             table[(g, offset + j)] = offset + where[g * coset[0]]
                     offset += len(cosets)
                 S = H, tuple(range(offset)), lambda g, p, table=table: table[(g, p)]
-                lifted = inflate_concrete(G, H, S)
-                assert decompose(*lifted) == inflate(G, H, decompose(*S))
+                lifted = induce_concrete(G, H, S)
+                assert decompose(*lifted) == induce(G, H, decompose(*S))
 
 
 def test_json_rendering():
@@ -543,5 +552,5 @@ def test_render_is_the_signed_sum_of_the_json_terms(name, data):
 def test_inflate_refuses_an_element_over_another_group():
     G = resolve_group("S4")
     H = subgroup(G, "(12)")
-    with pytest.raises(ValueError, match="element to inflate must live over the given subgroup"):
-        inflate(G, H, BurnsideElement.point(G))
+    with pytest.raises(ValueError, match="element to induce must live over the given subgroup"):
+        induce(G, H, BurnsideElement.point(G))

@@ -277,7 +277,22 @@ class TestCommands:
             with pytest.raises(SystemExit) as exc:
                 main(["counterexample", "d8", "--c", value])
         assert exc.value.code == 2
-        assert f"not a rational number: {value!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith("error: argument --c: more than 4300 digits\n")
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 4301, "1/" + "9" * 4301, "1." + "9" * 4301],
+        ids=["integer", "denominator", "decimal"],
+    )
+    def test_digit_run_too_long_to_print_exits_two(self, capsys, value):
+        # The same refusal as an over-long exponent, and the value is not
+        # echoed: the line stays short whatever the input's length.
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "d8", "--d", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(" error: argument --d: more than 4300 digits\n")
+        assert len(err) < 500
 
     def test_long_plain_and_exponent_values_still_parse(self, capsys):
         digits = "7" * 4200

@@ -21,7 +21,6 @@ from nodalcount.geometry import (
     analyze_pencil,
     apply_matrix,
     base_locus,
-    collinear,
     conic_from_lines,
     conic_to_string,
     d8_case_suite,
@@ -52,6 +51,7 @@ from nodalcount.permgroup import (
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
+    collinear,
     d8_invariant_structure,
     deadline,
     mat_inverse,
@@ -112,6 +112,18 @@ class TestQuadExt:
         assert QuadExt(1, 2, -2) == QuadExt(1, 2, -2)
         assert QuadExt(1, 2, -2) != QuadExt(1, 3, -2)
         assert QuadExt(Fraction(1, 2)) == QuadExt(Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: qe("1"), lambda: QuadExt(1) + "x", lambda: "x" - QuadExt(1)],
+        ids=["qe", "add", "rsub"],
+    )
+    def test_a_string_is_not_a_field_element(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_sqrt_of_zero_is_zero(self):
+        assert field_sqrt(0) == 0
 
     def test_mixing_radicands_fails(self):
         with pytest.raises(FieldExtensionError):

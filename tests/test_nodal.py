@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from nodalcount import nodal
-from nodalcount.burnside import BurnsideElement, be_equal, decompose, inflate
+from nodalcount.burnside import BurnsideElement, be_equal, decompose, induce
 from nodalcount.nodal import (
     ALL_PAIRINGS,
     SigmaConfig,
@@ -29,7 +29,7 @@ from nodalcount.permgroup import (
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
     has_klein_four,
-    inflate_concrete,
+    induce_concrete,
     mark_defect_oracle,
     restrict_by_marks,
 )
@@ -58,7 +58,7 @@ def config_index(G, *subgroups_gens):
 
 def weight_marks_by_oracle(report, G):
     """Recompute a report's weight marks by literally counting fixed points
-    of the concrete inflated branch set, orbit by orbit."""
+    of the concrete induced branch set, orbit by orbit."""
     totals = [0] * len(subgroup_classes(G))
     for orb in report.orbit_reports:
         H = orb.stabilizer
@@ -69,8 +69,8 @@ def weight_marks_by_oracle(report, G):
             for block in blocks
         }
         branch_set = H, blocks, lambda h, b, t=action: t[(h, b)]
-        lifted = inflate_concrete(G, H, branch_set)
-        lifted_point = inflate_concrete(G, H, (H, ("pt",), lambda h, p: p))
+        lifted = induce_concrete(G, H, branch_set)
+        lifted_point = induce_concrete(G, H, (H, ("pt",), lambda h, p: p))
         for cls in subgroup_classes(G):
             K = cls.representative
 
@@ -128,6 +128,10 @@ class TestEnumerate:
         assert len(configs) == 3
         expected = {(1, 1, 1, 1), (0, 1, 1), (0, 0)}
         assert {c.orbit_classes for c in configs} == expected
+
+    def test_repr_names_group_and_spec(self):
+        G = resolve_group("V")
+        assert repr(config_by_classes(G, [0])) == "SigmaConfig(<(12)(34),(13)(24)>, [G])"
 
     def test_trivial_single_config(self):
         configs = enumerate_sigma_configs(resolve_group("trivial"))
@@ -342,7 +346,7 @@ class TestVerify:
         report = verify(sigma)
         assert not report.equal
         # independent oracle: literally count fixed points of the concrete
-        # inflated branch sets
+        # induced branch sets
         assert weight_marks_by_oracle(report, G) == report.lhs.mark_vector()
         # the weighted sum differs from [Sigma] - {*} exactly at the full group
         assert report.lhs.mark_vector() == (3, -1, -1, -1, -3)
@@ -533,7 +537,7 @@ class TestInvariants:
                                 sorted(sigma.point_action[h](i) for i in b)
                             ),
                         )
-                        weight = inflate(
+                        weight = induce(
                             G, stab, branch - BurnsideElement.point(stab)
                         )
                         assert weight == report.weight

@@ -30,6 +30,10 @@ def orbit_of(G, act, gset, x, left):
 
 
 class TestPermutation:
+    def test_product_with_an_integer_is_refused(self):
+        with pytest.raises(TypeError):
+            Permutation.identity() * 1
+
     def test_parse_compact_and_spaced(self):
         assert perm("(12)(34)") == perm("(1 2)(3 4)")
         assert perm("(1,2)(3,4)") == perm("(12)(34)")
