@@ -200,9 +200,6 @@ class BurnsideElement:
             ],
         }
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def be_equal(x: BurnsideElement, y: BurnsideElement):
     """Equality via the fixed-point criterion, with witnesses on failure.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -101,22 +102,14 @@ def cmd_marks(args) -> tuple:
             "marks": [list(row) for row in marks],
         }
         return payload, 0
+    # the header is one more row, named "" and holding the column labels
     width = max(len(lbl) for lbl in labels)
-    cells = [
-        max(len(labels[k]), max(len(str(row[k])) for row in marks))
-        for k in range(len(labels))
-    ]
+    cells = [max(len(str(v)) for v in column) for column in zip(labels, *marks)]
     lines = [f"table of marks for {args.group} (rows [G/H], columns K)"]
-    header = " " * width + " | " + "  ".join(
-        lbl.rjust(c) for lbl, c in zip(labels, cells)
-    )
-    lines.append(header)
-    for lbl, row in zip(labels, marks):
-        lines.append(
-            lbl.ljust(width)
-            + " | "
-            + "  ".join(str(v).rjust(c) for v, c in zip(row, cells))
-        )
+    lines += [
+        name.ljust(width) + " | " + "  ".join(str(v).rjust(c) for v, c in zip(row, cells))
+        for name, row in [("", labels), *zip(labels, marks)]
+    ]
     return "\n".join(lines), 0
 
 
@@ -146,13 +139,11 @@ def cmd_verify_all(args) -> tuple:
 def _expanded_table(report: nodal.VerificationReport):
     """Per-subgroup fixed-point rows (classes expanded to all members)."""
     G = report.sigma.ambient
-    rows = []
-    for cls in subgroup_classes(G):
-        idx = cls.class_index
-        _, lhs_mark, rhs_mark = report.table[idx]
-        for member in cls.members:
-            rows.append((subgroup_label(member, ambient=G), lhs_mark, rhs_mark))
-    return rows
+    return [
+        (subgroup_label(member, ambient=G), lhs_mark, rhs_mark)
+        for cls, (_, lhs_mark, rhs_mark) in zip(subgroup_classes(G), report.table)
+        for member in cls.members
+    ]
 
 
 def _counterexample_report(args, label, analysis, report):
@@ -257,7 +248,7 @@ def _fraction(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(f"more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a rational number: {reprlib.repr(text)}")
 
 
 def _sign(text: str) -> int:

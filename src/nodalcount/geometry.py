@@ -323,12 +323,8 @@ Vec = tuple
 Matrix = tuple
 
 
-def vec(values) -> Vec:
-    return tuple(qe(v) for v in values)
-
-
 def mat(rows) -> Matrix:
-    return tuple(vec(row) for row in rows)
+    return tuple(tuple(qe(v) for v in row) for row in rows)
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -384,11 +380,7 @@ def rref(rows: Sequence[Vec]):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not matrix[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if not matrix[i][c].is_zero()), None)
         if pivot_row is None:
             continue
         matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
@@ -525,10 +517,8 @@ def conic_from_lines(l1: Vec, l2: Vec) -> Conic:
 
 
 def _coeff_str(c: QuadExt) -> str:
-    text = str(c)
-    if ("+" in text[1:]) or ("-" in text[1:]) or "/" in text or "sqrt" in text:
-        return f"({text})"
-    return text
+    """An integer stands bare; a fraction or a radical is parenthesized."""
+    return str(c) if c.is_rational() and c.a.denominator == 1 else f"({c})"
 
 
 def _form_to_string(coeffs: Vec, names: Sequence[str]) -> str:
@@ -568,12 +558,9 @@ def sym2(M: Matrix) -> Matrix:
     """
     if det3(M).is_zero():
         raise ValueError("sym2 expects an invertible matrix")
-    cols = [tuple(M[i][j] for i in range(3)) for j in range(3)]
+    cols = tuple(zip(*M))
     pairs = [(0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)]
-    out_cols = [_product_column(cols[i], cols[j]) for i, j in pairs]
-    return tuple(
-        tuple(out_cols[j][i] for j in range(6)) for i in range(6)
-    )
+    return tuple(zip(*(_product_column(cols[i], cols[j]) for i, j in pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +696,17 @@ def factor_degenerate(c: Conic) -> tuple:
         raise ValueError("conic is not degenerate")
     if len(kernel) == 2:  # rank 1
         row = next(row for row in M if any(not x.is_zero() for x in row))
-        if not conic_from_lines(row, row).is_proportional(c):
-            raise ArithmeticError("rank-1 factorization failed")
-        return row, row
-    # rank 2: split on a line x_k = 0 that misses the singular point p,
-    # that is, one with p_k nonzero.
-    p = kernel[0]
-    k = next(k for k in (2, 1, 0) if not p[k].is_zero())
-    q1, q2 = _split_on_line(M, identity_matrix(3)[k])
-    l1, l2 = cross(q1, p), cross(q2, p)
-    if not conic_from_lines(l1, l2).is_proportional(c):
-        raise ArithmeticError("rank-2 factorization failed")
-    return (l1, l2)
+        lines = row, row
+    else:
+        # rank 2: split on a line x_k = 0 that misses the singular point p,
+        # that is, one with p_k nonzero.
+        p = kernel[0]
+        k = next(k for k in (2, 1, 0) if not p[k].is_zero())
+        q1, q2 = _split_on_line(M, identity_matrix(3)[k])
+        lines = cross(q1, p), cross(q2, p)
+    if not conic_from_lines(*lines).is_proportional(c):
+        raise ArithmeticError(f"rank-{3 - len(kernel)} factorization failed")
+    return lines
 
 
 def _split_on_line(M: Matrix, line: Vec) -> tuple:

@@ -16,6 +16,7 @@ A configuration's text form, its sigma spec, is written by
 from __future__ import annotations
 
 import re
+import reprlib
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -142,7 +143,7 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
     sizes = [G.order // classes[idx].representative.order for idx in multiset]
     if sum(sizes) != 4:
         raise ValueError(
-            f"orbit sizes {sizes} do not add up to a 4-point configuration"
+            f"orbit sizes {reprlib.repr(sizes)} do not add up to a 4-point configuration"
         )
     images = {g: [] for g in G.elements}
     offset = 0
@@ -182,10 +183,10 @@ def parse_sigma_spec(spec: str, G: PermGroup) -> SigmaConfig:
     for raw in spec.split("+"):
         term = raw.strip()
         if not term:
-            raise ValueError(f"empty term in sigma spec {spec!r}")
+            raise ValueError(f"empty term in sigma spec {reprlib.repr(spec)}")
         match = _SIGMA_TERM.match(term)
         if not match:
-            raise ValueError(f"cannot parse sigma term {term!r}")
+            raise ValueError(f"cannot parse sigma term {reprlib.repr(term)}")
         fixed, mult, gens_text = match.groups()
         if fixed is not None:
             multiset.extend([len(subgroup_classes(G)) - 1] * _count(fixed))
@@ -202,11 +203,11 @@ def parse_sigma_spec(spec: str, G: PermGroup) -> SigmaConfig:
             # The whitespace after ")" has one place to go, so a failing
             # match takes linear time.
             if not re.fullmatch(r"\s*(?:\([^()]*\)\s*(?:,\s*)?)+", gens_text):
-                raise ValueError(f"cannot parse generators {gens_text!r}")
+                raise ValueError(f"cannot parse generators {reprlib.repr(gens_text)}")
             subgroup = generate_group(gens)
         if not subgroup.is_subgroup_of(G):
             raise ValueError(
-                f"term {term!r} names a subgroup that does not lie in the group"
+                f"term {reprlib.repr(term)} names a subgroup that does not lie in the group"
             )
         multiset.extend([class_index_of(G, subgroup)] * count)
     return sigma_from_classes(G, multiset)

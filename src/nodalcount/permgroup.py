@@ -12,6 +12,8 @@ them mean the same thing in every run.
 from __future__ import annotations
 
 import re
+import reprlib
+import sys
 from functools import lru_cache
 from itertools import chain, combinations, permutations
 from types import MappingProxyType
@@ -117,6 +119,11 @@ def _trusted(images: tuple) -> Permutation:
 _CYCLE_BODY = re.compile(r"\(([^()]*)\)")
 
 
+def _clip(text: str) -> str:
+    """Text to echo unquoted, cut to 30 characters as ``reprlib.repr`` cuts."""
+    return text if len(text) <= 30 else f"{text[:13]}...{text[-14:]}"
+
+
 def parse_permutation(text: str) -> Permutation:
     """Parse cycle notation; "(1 2)(3 4)" and compact "(12)(34)" both work.
 
@@ -125,7 +132,8 @@ def parse_permutation(text: str) -> Permutation:
     """
     stray = _CYCLE_BODY.sub("", text).strip()
     if stray:
-        raise ValueError(f"cannot parse permutation {text!r}: stray {stray!r}")
+        raise ValueError(f"cannot parse permutation {reprlib.repr(text)}: "
+                         f"stray {reprlib.repr(stray)}")
     # The product of the cycles, the rightmost applied first.  A cycle of
     # distinct points in range is a bijection, so each factor is trusted.
     result = Permutation.identity()
@@ -136,12 +144,14 @@ def parse_permutation(text: str) -> Permutation:
         for tok in filter(None, tokens):
             # isdecimal holds for exactly the digits that int() reads
             if not tok.isdecimal():
-                raise ValueError(f"cannot parse cycle ({body})")
-            point = int(tok) - 1
+                raise ValueError(f"cannot parse cycle ({_clip(body)})")
+            # int() refuses a token longer than the int-string limit
+            limit = sys.get_int_max_str_digits()
+            point = int(tok) - 1 if not limit or len(tok) <= limit else -1
             if not 0 <= point < 4:
-                raise ValueError(f"point {tok} out of range in {text!r}")
+                raise ValueError(f"point {_clip(tok)} out of range in {reprlib.repr(text)}")
             if point in cycle:
-                raise ValueError(f"repeated point in cycle ({body})")
+                raise ValueError(f"repeated point in cycle ({_clip(body)})")
             cycle.append(point)
         imgs = list(_POINTS)
         for i, point in enumerate(cycle):
@@ -166,10 +176,11 @@ def _members(mask: int) -> list:
     return [i for i in range(24) if mask >> i & 1]
 
 
-def _close(gens: Sequence[int]) -> int:
-    """The mask of <gens>, by a breadth-first walk from the identity over
-    generator edges: every element of a finite group is a positive word in
-    its generators, so |<gens>| * |gens| products reach them all."""
+def _walk(gens: Sequence[int]) -> list:
+    """The elements of <gens> in the order of a breadth-first walk from the
+    identity over generator edges (x, s) to x*s: every element of a finite
+    group is a positive word in its generators, so |<gens>| * |gens|
+    products reach them all."""
     mask = 1
     queue = [0]
     for x in queue:
@@ -179,7 +190,12 @@ def _close(gens: Sequence[int]) -> int:
             if not mask >> y & 1:
                 mask |= 1 << y
                 queue.append(y)
-    return mask
+    return queue
+
+
+def _close(gens: Sequence[int]) -> int:
+    """The mask of <gens>."""
+    return sum(1 << x for x in _walk(gens))
 
 
 class PermGroup:
@@ -258,21 +274,16 @@ def _hom_from_generators(images: Mapping, product, identity) -> tuple:
     """The group the generators close to, and their images extended to it.
 
     ``product`` multiplies images and ``identity`` is the identity's image.
-    On each edge (x, s) of ``_close``'s walk, table[x*s] is set to, or checked
-    against, product(table[x], images[s]); a table consistent on every edge
-    is a homomorphism.  It is read-only: cached representations share it.
+    On each edge (x, s) of ``_walk``, in walk order, table[x*s] is set to,
+    or checked against, product(table[x], images[s]); a table consistent on
+    every edge is a homomorphism.  It is read-only: cached representations share it.
     """
     gens = [(_INDEX[s.images], image) for s, image in images.items()]
     table = {0: identity}
-    queue = [0]
-    for x in queue:
+    for x in _walk([s for s, _ in gens]):
         for s, image in gens:
-            xs = _MUL[x][s]
             value = product(table[x], image)
-            if xs not in table:
-                table[xs] = value
-                queue.append(xs)
-            elif table[xs] != value:
+            if table.setdefault(_MUL[x][s], value) != value:
                 raise ValueError("generator images do not extend to a homomorphism")
     group = _GROUPS[sum(1 << x for x in table)]
     return group, MappingProxyType({_ELEMENTS[x]: v for x, v in table.items()})

@@ -8,6 +8,7 @@ the normal Klein four-group and "V'" the non-normal one.
 
 from __future__ import annotations
 
+import reprlib
 from functools import lru_cache
 
 from .permgroup import PermGroup, generate_group, parse_permutation
@@ -45,6 +46,6 @@ def resolve_group(name: str) -> PermGroup:
     key = ALIASES.get(name, name)
     if key not in PRESETS:
         known = ", ".join(sorted(list(PRESETS) + list(ALIASES)))
-        raise KeyError(f"unknown group preset {name!r}; known presets: {known}")
+        raise KeyError(f"unknown group preset {reprlib.repr(name)}; known presets: {known}")
     return generate_group(map(parse_permutation, PRESETS[key]))
 

@@ -26,13 +26,13 @@ from nodalcount.geometry import (
     det3,
     identity_matrix,
     kernel_basis,
+    mat,
     mat_mul,
     mat_vec,
     qe,
     rank,
     rref,
     sym2,
-    vec,
 )
 from nodalcount.permgroup import (
     PermGroup,
@@ -270,7 +270,7 @@ def d8_invariant_structure(a: int, b: int) -> dict:
             rows = rows_rot + eigen_rows(S_ref, mu)
             intersections[(lam, mu)] = kernel_basis(rows)
 
-    basis = {name: vec(v) for name, v in _D8_CONICS.items()}
+    basis = dict(zip(_D8_CONICS, mat(_D8_CONICS.values())))
     checks = (
         span_equal(intersections[(1, 1)], [basis["Z^2"], basis["X^2+Y^2"]]),
         span_equal(intersections[(-1, 1)], [basis["X^2-Y^2"]]),

@@ -571,7 +571,7 @@ def test_criterion_8a_products():
     )
 
 
-def test_criterion_8b_inflation_oracle():
+def test_criterion_8b_induction_oracle():
     failures = []
     for name in PRESET_ORDER:
         G = resolve_group(name)

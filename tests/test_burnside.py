@@ -112,7 +112,7 @@ class TestMarks:
             point = BurnsideElement.point(G)
             assert all(m == 1 for m in point.mark_vector())
 
-    def test_a4_inflated_weight_cardinality(self):
+    def test_a4_induced_weight_cardinality(self):
         G = resolve_group("A4")
         klein = subgroup(G, "(12)(34)", "(13)(24)")
         flip = subgroup(G, "(14)(23)")
@@ -477,7 +477,7 @@ class TestInflate:
             assert induce(G, H, -x) == -induce(G, H, x)
 
 
-def test_inflation_matches_literal_quotient_construction():
+def test_induction_matches_literal_quotient_construction():
     """induce agrees with decomposing the eagerly built (G x X)/~ for every
     subgroup pair and every H-set type of size <= 4."""
     for name in PRESET_ORDER:
@@ -549,7 +549,7 @@ def test_render_is_the_signed_sum_of_the_json_terms(name, data):
         assert x.render() == (text or "0")
 
 
-def test_inflate_refuses_an_element_over_another_group():
+def test_induce_refuses_an_element_over_another_group():
     G = resolve_group("S4")
     H = subgroup(G, "(12)")
     with pytest.raises(ValueError, match="element to induce must live over the given subgroup"):

@@ -197,6 +197,40 @@ class TestCommands:
         errors = [line for line in captured.err.splitlines() if "error: " in line]
         assert len(errors) == 1 and errors[0].endswith(message)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "d8", "--d", "x" * 5000],
+            ["marks", "--group", "x" * 5000],
+            ["verify", "--group", "S4", "--sigma", "x" * 5000],
+            ["verify", "--group", "S4", "--sigma", f"[G/({'x' * 5000})]"],
+            ["verify", "--group", "S4", "--sigma", f"[G/({'1' * 5000})]"],
+            ["verify", "--group", "S4", "--sigma", "+".join(["[G]"] * 2000)],
+        ],
+        ids=["rational", "group", "sigma-term", "cycle", "repeated-point", "orbit-sizes"],
+    )
+    def test_long_input_is_not_echoed_in_full(self, capsys, argv):
+        # A refusal quotes the input through reprlib.repr, or cuts it the
+        # same way, so the error line stays short whatever the input's length.
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        errors = [line for line in captured.err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and len(errors[0].encode()) < 200
+
+    def test_point_too_long_for_int_is_out_of_range(self, capsys):
+        # int() would refuse the 5000 digits with advice on raising Python's limit.
+        code = main(["verify", "--group", "S4", "--sigma", f"[G/(1 {'9' * 5000})]"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "error: point 9999999999999...99999999999999 out of range"
+            " in '(1 999999999...999999999999)'\n"
+        )
+
     def test_option_given_as_double_dash_exits_two(self, capsys):
         # argparse reads "--c=--" as an empty list; each option refuses it
         # as a usage error instead of crashing or ignoring it.

@@ -32,6 +32,7 @@ from nodalcount.geometry import (
     induced_sigma,
     klein_counterexample,
     klein_representation,
+    line_to_string,
     mat,
     mat_mul,
     nodal_members,
@@ -401,6 +402,23 @@ class TestConic:
         }
         for coeffs, text in cases.items():
             assert conic_to_string(Conic(coeffs)) == text
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (3, "3"),
+            (-3, "-3"),
+            (Fraction(3, 2), "(3/2)"),
+            (Fraction(-3, 2), "(-3/2)"),
+            (QuadExt(0, 1, 2), "(sqrt(2))"),
+            (QuadExt(0, -1, 2), "(-sqrt(2))"),
+            (QuadExt(1, 1, 2), "(1+sqrt(2))"),
+            (QuadExt(0, 2, 2), "(2*sqrt(2))"),
+        ],
+    )
+    def test_only_an_integer_coefficient_stands_bare(self, value, text):
+        assert conic_to_string(Conic((value, 0, 0, 0, 0, 0))) == f"{text}*X^2"
+        assert line_to_string((qe(value), ZERO, ZERO)) == f"{text}*X"
 
     def test_symmetric_matrix_convention(self):
         c = conic({"YZ": 1})

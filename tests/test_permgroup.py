@@ -1,4 +1,5 @@
 import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -70,6 +71,13 @@ class TestPermutation:
             parse_permutation("(15)")
         with pytest.raises(ValueError):
             parse_permutation("(11)")
+
+    def test_token_longer_than_the_int_limit_is_out_of_range(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_permutation(f"(1 {'0' * (limit - 1)}2)") == perm("(12)")
+        message = r"^point 0000000000000\.\.\.00000000000002 out of range"
+        with pytest.raises(ValueError, match=message):
+            parse_permutation(f"(1 {'0' * limit}2)")
 
     def test_composition_applies_right_factor_first(self):
         r = perm("(13)")
