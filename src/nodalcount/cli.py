@@ -208,14 +208,13 @@ def cmd_theorem_sweep(args) -> tuple:
     golden = {entry["group"]: entry["configs"] for entry in _load_sweep_golden()["groups"]}
     groups = []
     for name in PRESET_ORDER:
-        reports = nodal.verify_all(resolve_group(name))
         observed = [
             {
-                "sigma": r.sigma.sigma_string(),
-                "orbit_classes": list(r.sigma.orbit_classes),
-                "equal": r.equal,
+                "sigma": s.sigma_string(),
+                "orbit_classes": list(s.orbit_classes),
+                "equal": all(lm == rm for _, lm, rm in nodal.pulled_back_table(s)),
             }
-            for r in reports
+            for s in nodal.enumerate_sigma_configs(resolve_group(name))
         ]
         match = observed == golden.get(name)
         groups.append({"group": name, "matches_golden": match, "configs": observed})

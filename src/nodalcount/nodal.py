@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 import reprlib
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -47,6 +48,7 @@ __all__ = [
     "fixed_point_lines",
     "verify",
     "verify_all",
+    "pulled_back_table",
 ]
 
 
@@ -354,3 +356,35 @@ def verify(sigma: SigmaConfig) -> VerificationReport:
 def verify_all(G: PermGroup) -> list:
     """One VerificationReport per configuration, in canonical order."""
     return [verify(sigma) for sigma in enumerate_sigma_configs(G)]
+
+
+@lru_cache(maxsize=None)
+def _natural_table() -> tuple:
+    """S4 and the table of its natural configuration X = {1, 2, 3, 4}, the
+    identity action, verified through the orbit path once per process."""
+    S4 = generate_group(map(Permutation, permutations(range(4))))
+    return S4, verify(SigmaConfig.from_action(S4, {g: g for g in S4.elements})).table
+
+
+def pulled_back_table(sigma: SigmaConfig) -> tuple:
+    """``verify(sigma).table``, read off S4's natural table by restriction.
+
+    Sigma is phi*(X), the restriction of S4's natural set X along the point
+    action phi: G -> S4, which ``from_action`` has proved a homomorphism.
+    The 2-subsets and the pairings of Sigma are phi* of those of X, so by
+    the closed form lhs = [C(Sigma, 2)] - [P(Sigma)] (``TestClosedForm``)
+    lhs(Sigma) = phi*(lhs(X)), and rhs(Sigma) = [phi*(X)] - {*} =
+    phi*(rhs(X)).  Restriction has marks m_K(phi*(x)) = m_phi(K)(x)
+    (T. tom Dieck, "Transformation Groups", 1987; S. Bouc, "Burnside
+    rings", Handbook of Algebra 2, 2000).  So the row of each class K of G
+    is X's row at the class of phi(K), the group that the images of K's
+    generators close to.
+    """
+    S4, natural = _natural_table()
+    phi = sigma.point_action
+    rows = []
+    for cls in subgroup_classes(sigma.ambient):
+        image = generate_group(phi[k] for k in cls.representative.generators)
+        _, lhs_mark, rhs_mark = natural[class_index_of(S4, image)]
+        rows.append((cls.class_index, lhs_mark, rhs_mark))
+    return tuple(rows)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from nodalcount import cli, nodal
 from nodalcount.cli import build_parser, main
 from nodalcount.nodal import enumerate_sigma_configs, parse_sigma_spec
+from nodalcount.permgroup import class_index_of, generate_group, subgroup_classes
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import deadline
 
@@ -360,6 +362,68 @@ class TestCommands:
         assert code == 0
         assert "all groups match the golden table" in out
 
+    def test_sweep_verdicts_follow_the_klein_criterion(self, capsys):
+        # A configuration is equal exactly when the image phi(G) of its
+        # point action contains none of S4's four Klein four-groups: the
+        # normal V and the three conjugates of V'.
+        S4 = resolve_group("S4")
+        classes = subgroup_classes(S4)
+        kleins = [
+            K
+            for name in ("V", "V'")
+            for K in classes[class_index_of(S4, resolve_group(name))].members
+        ]
+        assert len(kleins) == 4
+        code, payload = run_json(capsys, "theorem-sweep")
+        assert code == 0
+        configs = 0
+        for entry in payload["groups"]:
+            G = resolve_group(entry["group"])
+            sigmas = enumerate_sigma_configs(G)
+            assert len(sigmas) == len(entry["configs"])
+            for sigma, config in zip(sigmas, entry["configs"]):
+                assert config["sigma"] == sigma.sigma_string()
+                image = generate_group(sigma.point_action.values())
+                expected = not any(K.is_subgroup_of(image) for K in kleins)
+                assert config["equal"] == expected, (entry["group"], config["sigma"])
+                configs += 1
+        assert configs == 60
+
+    def _assert_drift_in_v(self, capsys):
+        """theorem-sweep, in both formats, reports drift in group V alone."""
+        code, out = run(capsys, "theorem-sweep")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == "drift detected"
+        assert [line.split()[0] for line in lines if "[DRIFT]" in line] == ["V"]
+        code, payload = run_json(capsys, "theorem-sweep")
+        assert code == 1
+        assert payload["matches_golden"] is False
+        assert [g["group"] for g in payload["groups"] if not g["matches_golden"]] == ["V"]
+
+    def test_drift_from_the_golden_table_is_reported(self, capsys, monkeypatch):
+        golden = cli._load_sweep_golden()
+        entry = next(g for g in golden["groups"] if g["group"] == "V")
+        entry["configs"][0]["equal"] = not entry["configs"][0]["equal"]
+        monkeypatch.setattr(cli, "_load_sweep_golden", lambda: golden)
+        self._assert_drift_in_v(capsys)
+
+    def test_a_wrong_pulled_back_verdict_is_reported(self, capsys, monkeypatch):
+        # V's first configuration, 4*, is equal: one wrong mark flips it.
+        V = resolve_group("V")
+        assert enumerate_sigma_configs(V)[0].sigma_string() == "4*"
+        original = nodal.pulled_back_table
+
+        def one_wrong_mark(sigma):
+            rows = original(sigma)
+            if sigma.ambient is V and sigma.sigma_string() == "4*":
+                (idx, lm, rm), *rest = rows
+                rows = ((idx, lm, rm + 1), *rest)
+            return rows
+
+        monkeypatch.setattr(nodal, "pulled_back_table", one_wrong_mark)
+        self._assert_drift_in_v(capsys)
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = main(
@@ -410,6 +474,7 @@ def test_closed_stdout_ends_quietly():
     "argv",
     [
         ["theorem-sweep"],
+        ["--format", "json", "theorem-sweep"],
         ["--format", "json", "verify-all", "--group", "S4"],
         ["counterexample", "klein"],
         ["counterexample", "d8", "--case", "9", "--c", "3/7", "--d=-5"],

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import nodalcount
-from nodalcount import cli, permgroup
+from nodalcount import cli, nodal, permgroup
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -96,6 +96,29 @@ def test_every_benchmark_span_is_reached(capsys):
     capsys.readouterr()
     reached = {span[1] for span in tracer.spans}
     assert set(tracing.SPAN_NAMES) - {"cli.import"} - reached == set()
+
+
+def test_theorem_sweep_reaches_the_orbit_path_once_per_process(capsys, monkeypatch):
+    # theorem-sweep reads its verdicts off S4's natural table, which one
+    # verify builds: the first sweep after cold caches runs the orbit path
+    # once, and a second sweep in the same process not at all.
+    for fn in load_tracing().lru_cache_functions().values():
+        fn.cache_clear()
+    calls = []
+    original = nodal.nodal_orbit_reports
+
+    def counted(sigma):
+        calls.append(sigma.ambient.order)
+        return original(sigma)
+
+    monkeypatch.setattr(nodal, "nodal_orbit_reports", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert cli.main(["theorem-sweep"]) == 0
+        counts.append(list(calls))
+    capsys.readouterr()
+    assert counts == [[24], []]
 
 
 def test_geometry_spans_are_reached_in_a_fresh_interpreter():

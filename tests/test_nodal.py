@@ -12,6 +12,7 @@ from nodalcount.nodal import (
     nodal_orbit_reports,
     pairing_action,
     pairing_label,
+    pulled_back_table,
     sigma_from_classes,
     verify,
     verify_all,
@@ -509,6 +510,37 @@ class TestRestriction:
                     assert restricted.rhs == restrict_by_marks(report.rhs, H)
                     triples += 1
         assert triples == 473
+
+
+class TestPullBack:
+    """``pulled_back_table`` reads each configuration's table off S4's
+    natural table at phi(K); the orbit path computes it from orbits,
+    stabilizers and induction.  They must agree row by row."""
+
+    def test_pulled_back_table_is_the_orbit_path_table_over_the_sweep(self):
+        configs = rows = 0
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                pulled, table = pulled_back_table(sigma), verify(sigma).table
+                assert len(pulled) == len(table)
+                for row, expected in zip(pulled, table):
+                    assert row == expected, (name, sigma.sigma_string())
+                configs += 1
+                rows += len(table)
+        assert (configs, rows) == (60, 329)
+
+    def test_natural_table_differs_at_the_klein_groups_and_above(self):
+        S4 = resolve_group("S4")
+        natural = SigmaConfig.from_action(S4, {g: g for g in S4})
+        table = pulled_back_table(natural)
+        assert table == verify(natural).table
+        defects = {idx: lm - rm for idx, lm, rm in table if lm != rm}
+
+        def at(name):
+            return class_index_of(S4, resolve_group(name))
+
+        assert defects == {at("V'"): 2, at("V"): -2, at("A4"): 1, at("S4"): 1}
 
 
 class TestInvariants:
