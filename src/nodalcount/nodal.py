@@ -23,6 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .burnside import BurnsideElement, be_equal, decompose, induce
 from .permgroup import (
+    _CYCLE_BODY,
     PermGroup,
     Permutation,
     class_index_of,
@@ -139,6 +140,10 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
     order); each orbit carries the left action on the cosets of the class
     representative, cosets in canonical order.  Labeling invariance of
     the verifier makes this one choice as good as any.
+
+    The result needs no proof: g.(xH) = (gx)H is an action by
+    associativity, and the coset H has stabilizer H, so each orbit is
+    [G/H] by definition and the decomposition is the multiset itself.
     """
     classes = subgroup_classes(G)
     multiset = tuple(sorted(class_multiset))
@@ -147,18 +152,13 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
         raise ValueError(
             f"orbit sizes {reprlib.repr(sizes)} do not add up to a 4-point configuration"
         )
-    images = {g: [] for g in G.elements}
-    offset = 0
-    for idx in multiset:
-        H = classes[idx].representative
-        cosets = G.left_cosets(H)
-        where = {elem: j for j, coset in enumerate(cosets) for elem in coset}
-        for g in G.elements:
-            for j, coset in enumerate(cosets):
-                images[g].append(offset + where[g * coset[0]])
-        offset += len(cosets)
-    point_action = {g: Permutation(images[g]) for g in G.elements}
-    return SigmaConfig.from_action(G, point_action)
+    points = [(k, coset) for k, idx in enumerate(multiset)
+              for coset in G.left_cosets(classes[idx].representative)]
+    where = {(k, x): p for p, (k, coset) in enumerate(points) for x in coset}
+    point_action = {g: Permutation([where[k, g * coset[0]] for k, coset in points])
+                    for g in G.elements}
+    counts = tuple(multiset.count(idx) for idx in range(len(classes)))
+    return SigmaConfig(G, point_action, BurnsideElement(G, counts))
 
 
 _SIGMA_TERM = re.compile(r"^(?:(\d+)\*|(\d*)\[G(?:/(.+))?\])$")
@@ -197,10 +197,7 @@ def parse_sigma_spec(spec: str, G: PermGroup) -> SigmaConfig:
         if gens_text is None:
             subgroup = generate_group([])
         else:
-            gens = [
-                parse_permutation(f"({body})")
-                for body in re.findall(r"\(([^()]*)\)", gens_text)
-            ]
+            gens = [parse_permutation(m[0]) for m in _CYCLE_BODY.finditer(gens_text)]
             # Each "(...)" is one generator, optionally followed by a comma.
             # The whitespace after ")" has one place to go, so a failing
             # match takes linear time.
@@ -370,7 +367,8 @@ def pulled_back_table(sigma: SigmaConfig) -> tuple:
     """``verify(sigma).table``, read off S4's natural table by restriction.
 
     Sigma is phi*(X), the restriction of S4's natural set X along the point
-    action phi: G -> S4, which ``from_action`` has proved a homomorphism.
+    action phi: G -> S4, a homomorphism by construction in
+    ``sigma_from_classes`` or by ``from_action``'s proof.
     The 2-subsets and the pairings of Sigma are phi* of those of X, so by
     the closed form lhs = [C(Sigma, 2)] - [P(Sigma)] (``TestClosedForm``)
     lhs(Sigma) = phi*(lhs(X)), and rhs(Sigma) = [phi*(X)] - {*} =

@@ -435,7 +435,7 @@ def test_product_decomposition_oracle():
 # ---------------------------------------------------------------------------
 
 
-class TestInflate:
+class TestInduce:
     def test_point_from_trivial_subgroup_is_regular(self):
         G = resolve_group("S3")
         triv = generate_group([])

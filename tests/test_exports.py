@@ -121,6 +121,30 @@ def test_theorem_sweep_reaches_the_orbit_path_once_per_process(capsys, monkeypat
     assert counts == [[24], []]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["theorem-sweep"], [24]), (["verify", "--group", "D8", "--sigma", "[G/(24)]"], [])],
+    ids=["theorem-sweep", "verify"],
+)
+def test_from_action_proves_only_actions_built_elsewhere(capsys, monkeypatch, argv, expected):
+    # sigma_from_classes builds its coset actions without from_action's
+    # proof; theorem-sweep proves only S4's natural action, and a verify of
+    # a spec proves none.
+    for fn in load_tracing().lru_cache_functions().values():
+        fn.cache_clear()
+    calls = []
+    original = nodal.SigmaConfig.from_action
+
+    def counted(cls, G, point_action):
+        calls.append(G.order)
+        return original(G, point_action)
+
+    monkeypatch.setattr(nodal.SigmaConfig, "from_action", classmethod(counted))
+    cli.main(argv)
+    capsys.readouterr()
+    assert calls == expected  # the orders of the groups proved
+
+
 def test_geometry_spans_are_reached_in_a_fresh_interpreter():
     # bench/cli_driver.py patches only the modules loaded when its tracer is
     # installed, right after `import nodalcount.cli`.  In this process other

@@ -178,16 +178,21 @@ class TestEnumerate:
                 assert all(c >= 0 for c in config.decomposition.coeffs)
 
     def test_point_action_is_a_homomorphism(self):
-        # from_action re-validates, so constructing is already a check;
-        # assert on a sample anyway.
-        G = resolve_group("D8")
-        for config in enumerate_sigma_configs(G):
-            for g in G.elements:
-                for h in G.elements:
-                    assert (
-                        config.point_action[g * h]
-                        == config.point_action[g] * config.point_action[h]
-                    )
+        # sigma_from_classes builds its coset actions without a runtime
+        # proof; check each one here, on every subgroup of S4: phi(g*h) =
+        # phi(g)*phi(h) on all pairs, and from_action's own decomposition
+        # of the action is the one the configuration carries.
+        seen = 0
+        for G in all_subgroups(resolve_group("S4")):
+            for config in enumerate_sigma_configs(G):
+                phi = config.point_action
+                for g in G.elements:
+                    for h in G.elements:
+                        assert phi[g * h] == phi[g] * phi[h]
+                proved = SigmaConfig.from_action(G, phi)
+                assert proved.decomposition == config.decomposition
+                seen += 1
+        assert seen == 155
 
     def test_from_action_rejects_a_broken_map(self):
         # Replace one image of the natural action, at every element of every
