@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .burnside import _signed_sum
@@ -334,11 +335,9 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    """The product AB, over QuadExt or plain int entries alike."""
     return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(len(B))), ZERO)
-            for j in range(len(B[0]))
-        )
+        tuple(sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0])))
         for i in range(len(A))
     )
 
@@ -856,9 +855,11 @@ def analyze_pencil(case: PencilCase) -> PencilAnalysis:
 
 
 def _representation(generators: Mapping[str, list]) -> tuple:
-    """(G, rep) from each generator's cycles and integer matrix rows."""
-    images = {parse_permutation(cycle): mat(rows) for cycle, rows in generators.items()}
-    return _hom_from_generators(images, mat_mul, identity_matrix(3))
+    """(G, rep) from each generator's cycles and integer matrix rows: the walk
+    multiplies integer matrices, then each result is coerced once with ``mat``."""
+    images = {parse_permutation(cycle): rows for cycle, rows in generators.items()}
+    G, table = _hom_from_generators(images, mat_mul, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    return G, MappingProxyType({g: mat(M) for g, M in table.items()})
 
 
 # -- dihedral group of order 8 on P^2 ---------------------------------------

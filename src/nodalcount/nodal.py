@@ -24,8 +24,12 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .burnside import BurnsideElement, be_equal, decompose, induce
 from .permgroup import (
     _CYCLE_BODY,
+    _ELEMENTS,
+    _INDEX,
+    _MUL,
     PermGroup,
     Permutation,
+    _members,
     class_index_of,
     class_labels,
     generate_group,
@@ -138,8 +142,9 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
 
     Points 0..3 are assigned orbit by orbit (classes in ascending index
     order); each orbit carries the left action on the cosets of the class
-    representative, cosets in canonical order.  Labeling invariance of
-    the verifier makes this one choice as good as any.
+    representative, cosets by least element, all on S4's element numbers.
+    Labeling invariance of the verifier makes this one choice as good as
+    any.
 
     The result needs no proof: g.(xH) = (gx)H is an action by
     associativity, and the coset H has stabilizer H, so each orbit is
@@ -152,11 +157,20 @@ def sigma_from_classes(G: PermGroup, class_multiset: Sequence[int]) -> SigmaConf
         raise ValueError(
             f"orbit sizes {reprlib.repr(sizes)} do not add up to a 4-point configuration"
         )
-    points = [(k, coset) for k, idx in enumerate(multiset)
-              for coset in G.left_cosets(classes[idx].representative)]
-    where = {(k, x): p for p, (k, coset) in enumerate(points) for x in coset}
-    point_action = {g: Permutation([where[k, g * coset[0]] for k, coset in points])
-                    for g in G.elements}
+    members = _members(G.mask)
+    # points[p] = (orbit, least element x of p's coset xH); where[orbit, y] =
+    # the point whose coset holds y.  x runs upwards, so a coset is first
+    # met, and numbered, at its least element.
+    points, where = [], {}
+    for k, idx in enumerate(multiset):
+        hs = _members(classes[idx].representative.mask)
+        for x in members:
+            if (k, x) not in where:
+                where.update(((k, _MUL[x][h]), len(points)) for h in hs)
+                points.append((k, x))
+    # each image tuple names one of S4's shared elements: no product, no check
+    point_action = {_ELEMENTS[g]: _ELEMENTS[_INDEX[tuple(where[k, _MUL[g][x]] for k, x in points)]]
+                    for g in members}
     counts = tuple(multiset.count(idx) for idx in range(len(classes)))
     return SigmaConfig(G, point_action, BurnsideElement(G, counts))
 
@@ -216,17 +230,20 @@ def enumerate_sigma_configs(G: PermGroup) -> list:
     """All 4-point G-sets up to isomorphism, each realized with one labeling.
 
     Configurations are the multisets of subgroup classes whose coset
-    spaces have sizes summing to 4; the list is sorted by the coefficient
-    vector of the decomposition (ascending lexicographic), which is
-    deterministic and presentation independent.
+    spaces have sizes summing to 4.  Only the classes of index |G|/|H| at
+    most 4 are considered, since a larger orbit fits in no configuration.
+    The list is sorted by the coefficient vector of the decomposition
+    (ascending lexicographic), which is deterministic and presentation
+    independent.
     """
     classes = subgroup_classes(G)
     sizes = [G.order // cls.representative.order for cls in classes]
     indices = range(len(classes))
+    fitting = [idx for idx in indices if sizes[idx] <= 4]
     multisets = [
         m
         for count in range(1, 5)
-        for m in combinations_with_replacement(indices, count)
+        for m in combinations_with_replacement(fitting, count)
         if sum(sizes[idx] for idx in m) == 4
     ]
     multisets.sort(key=lambda m: tuple(m.count(idx) for idx in indices))

@@ -16,7 +16,6 @@ import reprlib
 import sys
 from functools import lru_cache
 from itertools import chain, combinations, permutations
-from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -231,15 +230,6 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return not self.mask & ~other.mask
 
-    def left_cosets(self, H: "PermGroup") -> tuple:
-        """Left cosets g*H as sorted tuples, ordered by their minimal element."""
-        if not H.is_subgroup_of(self):
-            raise ValueError("left_cosets expects a subgroup")
-        hs = _members(H.mask)
-        # g runs upwards, so each coset first appears at its minimal element
-        cosets = {sum(1 << _MUL[g][h] for h in hs): 0 for g in _members(self.mask)}
-        return tuple(tuple(_ELEMENTS[i] for i in _members(c)) for c in cosets)
-
 
 def _lattice() -> tuple:
     """S4's 30 subgroups, sorted by (order, element list), each with its label.
@@ -276,7 +266,7 @@ def _hom_from_generators(images: Mapping, product, identity) -> tuple:
     ``product`` multiplies images and ``identity`` is the identity's image.
     On each edge (x, s) of ``_walk``, in walk order, table[x*s] is set to,
     or checked against, product(table[x], images[s]); a table consistent on
-    every edge is a homomorphism.  It is read-only: cached representations share it.
+    every edge is a homomorphism.
     """
     gens = [(_INDEX[s.images], image) for s, image in images.items()]
     table = {0: identity}
@@ -286,7 +276,7 @@ def _hom_from_generators(images: Mapping, product, identity) -> tuple:
             if table.setdefault(_MUL[x][s], value) != value:
                 raise ValueError("generator images do not extend to a homomorphism")
     group = _GROUPS[sum(1 << x for x in table)]
-    return group, MappingProxyType({_ELEMENTS[x]: v for x, v in table.items()})
+    return group, {_ELEMENTS[x]: v for x, v in table.items()}
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 """Test-only oracles: concrete G-set constructions checked against the ring,
-brute-force subgroup searches checked against ``permgroup``, the mark
+brute-force subgroup searches checked against ``permgroup``, coset
+configurations and representations built from Permutation and QuadExt
+products, checked against ``nodal`` and ``geometry``, the mark
 defect of ``verify``'s table counted from the definitions, restriction
 to a subgroup read off marks, collinearity of three points, a change of
 coordinates on conics, the D8 invariant-subspace structure the dihedral
@@ -15,7 +17,7 @@ edges, and assume no bound on the number of generators.
 
 import signal
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from nodalcount.burnside import BurnsideElement, _coeffs_from_marks
 from nodalcount.geometry import (
@@ -34,6 +36,7 @@ from nodalcount.geometry import (
     rref,
     sym2,
 )
+from nodalcount.nodal import SigmaConfig
 from nodalcount.permgroup import (
     PermGroup,
     Permutation,
@@ -63,6 +66,78 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def left_cosets(G: PermGroup, H: PermGroup) -> tuple:
+    """Left cosets g*H as sorted tuples of products, ordered by their least element."""
+    if not H.is_subgroup_of(G):
+        raise ValueError("left_cosets expects a subgroup")
+    # g runs upwards, so each coset first appears at its least element
+    return tuple(dict.fromkeys(tuple(sorted(g * h for h in H)) for g in G.elements))
+
+
+def sigma_multisets_oracle(G: PermGroup) -> list:
+    """Every multiset of at most 4 classes of G whose orbit sizes |G|/|H| add up
+    to 4, sorted by its count vector: ``enumerate_sigma_configs``' order."""
+    classes = subgroup_classes(G)
+    sizes = [G.order // cls.representative.order for cls in classes]
+    found = [
+        m
+        for count in range(1, 5)
+        for m in combinations_with_replacement(range(len(classes)), count)
+        if sum(sizes[idx] for idx in m) == 4
+    ]
+    return sorted(found, key=lambda m: tuple(m.count(idx) for idx in range(len(classes))))
+
+
+def coset_config_oracle(G: PermGroup, multiset) -> SigmaConfig:
+    """The coset action of a class multiset, from Permutation products.
+
+    Points are the cosets of each class representative, orbit by orbit in
+    ascending class order, cosets by least element; g sends the point of
+    xH to that of (g*x)H.  ``from_action`` proves the map an action and
+    decomposes it.
+    """
+    classes = subgroup_classes(G)
+    points = [
+        (k, coset)
+        for k, idx in enumerate(sorted(multiset))
+        for coset in left_cosets(G, classes[idx].representative)
+    ]
+    where = {(k, x): p for p, (k, coset) in enumerate(points) for x in coset}
+    action = {
+        g: Permutation([where[k, g * coset[0]] for k, coset in points]) for g in G.elements
+    }
+    return SigmaConfig.from_action(G, action)
+
+
+# Each representation's generators, cycles -> integer matrix rows, restated
+# from ``geometry``: the dihedral rotation and reflection carry the signs a, b.
+def d8_generators(a: int, b: int) -> dict:
+    return {"(1234)": [[0, -1, 0], [1, 0, 0], [0, 0, a]],
+            "(13)": [[1, 0, 0], [0, -1, 0], [0, 0, b]]}
+
+
+KLEIN_GENERATORS = {"(12)(34)": [[-1, 1, 0], [0, 1, 0], [0, 1, -1]],
+                    "(13)(24)": [[0, -1, 1], [0, -1, 0], [1, -1, 0]]}
+
+
+def representation_oracle(generators: dict) -> dict:
+    """The table g -> matrix that the generators close to, every product a
+    QuadExt ``mat_mul``, grown from the identity until no product is new.
+    A product that lands on a group element with another matrix raises."""
+    gens = [(parse_permutation(cycle), mat(rows)) for cycle, rows in generators.items()]
+    table = {Permutation.identity(): identity_matrix(3)}
+    queue = list(table)
+    for g in queue:
+        for s, M in gens:
+            h, value = g * s, mat_mul(table[g], M)
+            if h not in table:
+                table[h] = value
+                queue.append(h)
+            elif table[h] != value:
+                raise ValueError("generator matrices do not give a representation")
+    return table
+
+
 def induce_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
     """The literal quotient (G x X)/~ with (gh, x) ~ (g, h.x), as a G-set triple.
 
@@ -74,7 +149,7 @@ def induce_concrete(G: PermGroup, H: PermGroup, S: tuple) -> tuple:
         raise ValueError("concrete induction expects an H-set")
     if not H.is_subgroup_of(G):
         raise ValueError("concrete induction requires H <= G")
-    cosets = G.left_cosets(H)
+    cosets = left_cosets(G, H)
     reps = [coset[0] for coset in cosets]
     split = {}
     for g in G.elements:

@@ -74,6 +74,7 @@ from oracles import (
     collinear,
     d8_invariant_structure,
     induce_concrete,
+    left_cosets,
     product_gset,
     span_equal,
 )
@@ -526,7 +527,7 @@ def _coset_table_gset(G, multiset):
     offset = 0
     for idx in multiset:
         H = classes[idx].representative
-        cosets = G.left_cosets(H)
+        cosets = left_cosets(G, H)
         where = {}
         for j, coset in enumerate(cosets):
             for g in coset:

@@ -20,7 +20,7 @@ from nodalcount.permgroup import (
     all_subgroups,
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
-from oracles import disjoint_union_gset, induce_concrete, product_gset
+from oracles import disjoint_union_gset, induce_concrete, left_cosets, product_gset
 
 
 def perm(text):
@@ -33,7 +33,7 @@ def subgroup(G, *gens):
 
 def coset_gset(G, H):
     """G/H as a concrete left-multiplication G-set."""
-    cosets = G.left_cosets(H)
+    cosets = left_cosets(G, H)
     where = {}
     for i, coset in enumerate(cosets):
         for g in coset:
@@ -405,7 +405,7 @@ def random_gset(G, rng, max_size=6):
     table = {}
     for idx in chosen:
         H = classes[idx].representative
-        cosets = G.left_cosets(H)
+        cosets = left_cosets(G, H)
         where = {}
         for j, coset in enumerate(cosets):
             for g in coset:
@@ -503,7 +503,7 @@ def test_induction_matches_literal_quotient_construction():
                 offset = 0
                 for idx in multiset:
                     K = classes[idx].representative
-                    cosets = H.left_cosets(K)
+                    cosets = left_cosets(H, K)
                     where = {}
                     for j, coset in enumerate(cosets):
                         for g in coset:

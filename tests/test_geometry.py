@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -52,10 +53,13 @@ from nodalcount.permgroup import (
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
+    KLEIN_GENERATORS,
     collinear,
+    d8_generators,
     d8_invariant_structure,
     deadline,
     mat_inverse,
+    representation_oracle,
     span_equal,
     strip_squares_oracle,
     transform_conic,
@@ -766,6 +770,32 @@ class TestRepresentations:
         # every generator edge is checked, once per sign pair
         assert calls == {"_hom_from_generators": 4}
 
+    def test_representations_multiply_no_field_numbers(self, monkeypatch):
+        d8_representation.cache_clear()
+        klein_representation.cache_clear()
+        calls = Counter()
+        for name in ("__mul__", "__rmul__"):
+            def counted(*args, _name=name, _original=getattr(QuadExt, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(QuadExt, name, counted)
+        for a, b in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
+            d8_representation(a, b)
+        klein_representation()
+        assert calls == {}
+
+    def test_tables_match_field_products(self):
+        built = {(a, b): d8_representation(a, b) for a in (1, -1) for b in (1, -1)}
+        oracles = {(a, b): representation_oracle(d8_generators(a, b)) for a, b in built}
+        built["klein"] = klein_representation()
+        oracles["klein"] = representation_oracle(KLEIN_GENERATORS)
+        for key, (G, rep) in built.items():
+            assert dict(rep) == oracles[key]
+            assert set(rep) == set(G.elements)
+            for M in rep.values():
+                assert all(type(v) is QuadExt for row in M for v in row)
+
     def test_images_breaking_a_relation_are_rejected(self):
         rotation = mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
         # commutes with the rotation, so F R F = R, not R^-1
@@ -775,6 +805,14 @@ class TestRepresentations:
                 {perm("(1234)"): rotation, perm("(13)"): reflection},
                 mat_mul,
                 identity_matrix(3),
+            )
+        # the same walk on the integer matrices the representations start from
+        with pytest.raises(ValueError, match="do not extend"):
+            _hom_from_generators(
+                {perm("(1234)"): [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                 perm("(13)"): [[1, 0, 0], [0, 1, 0], [0, 0, -1]]},
+                mat_mul,
+                ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
             )
         # the same walk on permutation images: (123) has order 3, not 4
         with pytest.raises(ValueError, match="do not extend"):

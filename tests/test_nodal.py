@@ -29,10 +29,12 @@ from nodalcount.permgroup import (
 )
 from nodalcount.presets import PRESET_ORDER, resolve_group
 from oracles import (
+    coset_config_oracle,
     has_klein_four,
     induce_concrete,
     mark_defect_oracle,
     restrict_by_marks,
+    sigma_multisets_oracle,
 )
 
 
@@ -193,6 +195,42 @@ class TestEnumerate:
                 assert proved.decomposition == config.decomposition
                 seen += 1
         assert seen == 155
+
+    def test_multisets_match_a_search_over_every_class(self):
+        # enumerate_sigma_configs skips the classes of index above 4; the
+        # oracle tries every multiset of at most 4 classes of each subgroup.
+        for G in all_subgroups(resolve_group("S4")):
+            found = [c.orbit_classes for c in enumerate_sigma_configs(G)]
+            assert found == sigma_multisets_oracle(G)
+
+    def test_coset_actions_match_permutation_products(self):
+        # The element-number construction gives, point for point, the action
+        # built from Permutation products on the cosets, and from_action's
+        # decomposition of that action.
+        seen = 0
+        for G in all_subgroups(resolve_group("S4")):
+            for config in enumerate_sigma_configs(G):
+                oracle = coset_config_oracle(G, config.orbit_classes)
+                assert config.point_action == oracle.point_action
+                assert config.decomposition == oracle.decomposition
+                seen += 1
+        assert seen == 155
+
+    def test_enumeration_builds_no_permutation(self, monkeypatch):
+        groups = [resolve_group(name) for name in PRESET_ORDER]
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(Permutation, "__mul__", counted("mul", Permutation.__mul__))
+        monkeypatch.setattr(Permutation, "__init__", counted("init", Permutation.__init__))
+        configs = [c for G in groups for c in enumerate_sigma_configs(G)]
+        assert len(configs) == 60
+        assert calls == {}
 
     def test_from_action_rejects_a_broken_map(self):
         # Replace one image of the natural action, at every element of every
