@@ -16,7 +16,6 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import nodal
 from .burnside import table_of_marks
@@ -74,6 +73,7 @@ def _group(args):
 
 def _load_sweep_golden() -> dict:
     import json
+    from importlib import resources
 
     text = (
         resources.files("nodalcount")

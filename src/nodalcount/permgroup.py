@@ -15,7 +15,7 @@ import re
 import reprlib
 import sys
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
@@ -238,15 +238,25 @@ def _lattice() -> tuple:
     two non-identity elements, by size and then in ``combinations`` order,
     reaches each; its label is the first tuple that closes to it.  Such a
     tuple lies in the subgroup, so a walk over its own elements agrees.
-    The walk stops at the 30th subgroup (tuple 150 of 277), since a later
-    tuple can only close to a subgroup that already has its label.
+    <a, b> is generated by <a> | <b>, so a pair is walked only when that
+    union is new.  A union that is a labelled subgroup is <a, b> itself,
+    labelled by an earlier tuple; a union seen before closes as it did
+    then.  The walk stops at the 30th subgroup, since a later tuple can
+    only close to a subgroup that already has its label.
     """
-    labels: dict = {}
-    tuples = chain.from_iterable(combinations(range(1, 24), size) for size in range(3))
-    for gens in tuples:
-        labels.setdefault(_close(gens), gens)
-        if len(labels) == 30:
-            break
+    cyclic = [_close((a,)) for a in range(24)]
+    labels = {1: ()}
+    for a in range(1, 24):
+        labels.setdefault(cyclic[a], (a,))
+    known = set(labels)
+    for a, b in combinations(range(1, 24), 2):
+        union = cyclic[a] | cyclic[b]
+        if union not in known:
+            mask = _close((a, b))
+            labels.setdefault(mask, (a, b))
+            known |= {union, mask}
+            if len(labels) == 30:
+                break
     masks = sorted(labels, key=lambda m: (m.bit_count(), _members(m)))
     return tuple(PermGroup(m, labels[m]) for m in masks)
 

@@ -1,4 +1,7 @@
 import argparse
+import ast
+import atexit
+import gc
 import json
 import os
 import re
@@ -494,6 +497,81 @@ def test_output_does_not_depend_on_the_hash_seed(argv):
     ]
     assert outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# One command for each way the CLI exits: 0, a verdict of 1, a refusal and
+# argparse's usage error (both 2).
+EXITS = [
+    (["marks", "--group", "S4"], 0),
+    (["verify", "--group", "V", "--sigma", "[G]"], 1),
+    (["marks", "--group", "X"], 2),
+    (["marks"], 2),
+]
+EXIT_IDS = ["exit-0", "verdict", "refusal", "usage"]
+
+# python -m nodalcount, run by runpy as -m runs it, after an atexit hook that
+# therefore runs last and reports the size of the frozen heap.
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('nodalcount', run_name='__main__', alter_sys=True)\n"
+)
+# The entry point that exits without freezing: cli.main alone.
+PLAIN_ENTRY = "import sys; from nodalcount.cli import main; sys.exit(main())"
+
+
+def child(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("argv, code", EXITS, ids=EXIT_IDS)
+def test_entry_point_freezes_the_heap_at_exit(argv, code):
+    proc = child("-c", FREEZE_PROBE, *argv)
+    assert proc.returncode == code
+    *_, last = proc.stderr.decode().splitlines()
+    assert last.startswith("frozen ")
+    assert int(last.split()[1]) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [*EXITS, (["--format", "json", "--output", "{out}", "verify-all", "--group", "S4"], 1)],
+    ids=[*EXIT_IDS, "output"],
+)
+def test_frozen_exit_keeps_output_and_exit_code(tmp_path, argv, code):
+    runs = []
+    for name, entry in (("frozen", ["-m", "nodalcount"]), ("plain", ["-c", PLAIN_ENTRY])):
+        out = tmp_path / name
+        proc = child(*entry, *(arg.format(out=out) for arg in argv))
+        report = out.read_bytes() if out.exists() else None
+        runs.append((proc.returncode, proc.stdout, proc.stderr, report))
+    assert runs[0][0] == code
+    assert runs[0][1] or runs[0][2] or runs[0][3]
+    assert runs[0] == runs[1]
+
+
+def test_main_in_process_does_not_freeze(capsys, monkeypatch):
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    before = gc.get_freeze_count()
+    assert main(["marks", "--group", "S4"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+    assert registered == []
+
+
+def test_package_defines_no_finalizer():
+    # The entry point freezes the heap at exit, so an object left in a
+    # reference cycle is never finalized: nothing may rely on __del__.
+    for path in sorted((SRC / "nodalcount").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "__del__" not in names, path.name
 
 
 class TestJsonTextParity:

@@ -16,11 +16,8 @@ import nodalcount
 from nodalcount import cli, nodal, permgroup
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    info.name
-    for info in pkgutil.iter_modules(nodalcount.__path__)
-    if info.name != "__main__"  # the entry script runs the CLI on import
-)
+# __main__ runs the CLI only as a script: the installed script imports it.
+MODULES = sorted(info.name for info in pkgutil.iter_modules(nodalcount.__path__))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,23 +28,26 @@ def test_star_import(name):
 def test_import_loads_no_dataclasses_or_inspect():
     # The records are NamedTuples and slotted classes, so a cold CLI start
     # does not pay for dataclasses (which pulls in inspect, ast and dis).
-    # The CLI imports json only where it writes or reads JSON.
+    # The CLI imports json and importlib.resources only where it writes or
+    # reads JSON.  Under -S no site hook has loaded any of them first.
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import nodalcount, nodalcount.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))\n"
+        "heavy = {'dataclasses', 'inspect', 'json', 'importlib.resources'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-        timeout=60,
-        check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    for flags in ([], ["-S"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=60,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]", flags
 
 
 def load_tracing():
