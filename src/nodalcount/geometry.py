@@ -12,6 +12,7 @@ pencils, degenerate-member factorization and base loci.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -78,7 +79,10 @@ class QuadExt:
     Fraction and checks the radicand.  Field operations build their results
     with ``_trusted``, so a result inherits the radicand its operands carry
     and is not checked again.  A sum or product of two rationals is one
-    Fraction operation, with a zero radical part and no radicand.
+    Fraction operation, with a zero radical part and no radicand.  An inner
+    product of vectors over one radicand is not a chain of these: ``_dot``
+    sums each part over one common denominator and builds one Fraction per
+    part and one result.
     """
 
     __slots__ = ("a", "b", "radicand")
@@ -286,23 +290,70 @@ def field_sqrt(x: QuadExt) -> QuadExt:
 
 def _strip_squares(n: int):
     """n = s^2 * m, returns (s, m) with the sign kept on m.  Only squares of
-    divisors below 2^16 are moved into s, so m is squarefree when |n| < 2^32
-    and may keep a large square factor above that."""
+    primes below 2^16 are moved into s, so m is squarefree when |n| < 2^32
+    and may keep a large square factor above that.
+
+    One loop of trial division, over runs of candidate divisors, each with
+    a product: a d of the run's product divides n exactly when it divides
+    r = n mod product, so a run costs one remainder of n.  A composite d
+    never divides n by the time the loop reaches it, since its prime
+    factors went first, so ``_prime_runs`` of 2^32 or more gives the same
+    (s, m) as every d.  A smaller n takes ``_SMALL_RUNS``, 2 and the odd d
+    with product 1, so r = 0 and each d is tried on n itself: the prime
+    table costs a fresh interpreter 3-4 ms, more than any such n costs,
+    and the pencils' radicands all fall here.
+    """
     sign = -1 if n < 0 else 1
     n = abs(n)
     s, m = 1, 1
-    d = 2
-    while d * d <= n and d < 1 << 16:
-        exp = 0
-        while n % d == 0:
-            n //= d
-            exp += 1
-        s *= d ** (exp // 2)
-        if exp % 2:
-            m *= d
-        d += 1 if d == 2 else 2  # once 2 is divided out, no even d divides
+    for product, divisors in _prime_runs() if n >> 32 else _SMALL_RUNS:
+        if divisors[0] * divisors[0] > n:
+            break  # n is 1 or a prime
+        r = n % product
+        for d in divisors:
+            if d * d > n:
+                break
+            if r % d:
+                continue
+            exp = 0
+            while n % d == 0:
+                n //= d
+                exp += 1
+            s *= d ** (exp // 2)
+            if exp % 2:
+                m *= d
     m *= n
     return s, sign * m
+
+
+# Once 2 is divided out, no even d divides.
+_SMALL_RUNS = ((1, (2,)), (1, range(3, 1 << 16, 2)))
+
+
+@lru_cache(maxsize=None)
+def _prime_runs() -> tuple:
+    """The primes below 2^16 in ascending runs, each with its product, which
+    stays below 2^1024; built on first need.  The remainder r of n by a run's
+    product is short, and p divides n exactly when it divides r.  Runs of
+    about 70 primes beat word-sized ones: for a 28,000-bit n, a remainder
+    by a 1024-bit product costs about four times one by a word and covers
+    over ten times as many primes, and a 1024-bit r is still cheap to
+    divide by each prime."""
+    bound = 1 << 16
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound, i)))
+    runs, run, product = [], [], 1
+    for p in itertools.compress(range(bound), sieve):
+        if (product * p) >> 1024:
+            runs.append((product, tuple(run)))
+            run, product = [], 1
+        run.append(p)
+        product *= p
+    runs.append((product, tuple(run)))
+    return tuple(runs)
 
 
 def _rational_sqrt(q: Fraction | int):
@@ -343,6 +394,62 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 
 def _dot(u: Vec, v: Vec) -> QuadExt:
+    """The inner product of two sequences, as ``_fold_dot`` gives it, with
+    one Fraction per part and one QuadExt.
+
+    Operands are lifted as ``*`` lifts them.  Over one radicand m, the term
+    (a1 + b1 sqrt(m))(a2 + b2 sqrt(m)) adds a1 a2 + m b1 b2 to the rational
+    part and a1 b2 + b1 a2 to the radical part; each product of two
+    Fractions is kept as an unreduced integer pair, and each part is summed
+    over the lcm of its denominators (``_sum_over_lcm``).  Operands that
+    carry two different radicands, or one that is not a number, go to the
+    fold, which raises or cancels exactly as the field operations do.
+    """
+    m = None
+    nums, dens, radical_nums, radical_dens = [], [], [], []
+    for x, y in zip(u, v):
+        if type(x) is not QuadExt:
+            x = QuadExt._lift(x)
+        if type(y) is not QuadExt:
+            y = QuadExt._lift(y)
+        if x is None or y is None:
+            return _fold_dot(u, v)
+        xa, ya = x.a, y.a
+        nums.append(xa.numerator * ya.numerator)
+        dens.append(xa.denominator * ya.denominator)
+        mx, my = x.radicand, y.radicand  # None exactly when b == 0
+        if mx is None and my is None:
+            continue
+        if m is None:
+            m = mx or my
+        if mx not in (None, m) or my not in (None, m):
+            return _fold_dot(u, v)
+        xb, yb = x.b, y.b
+        if my is not None:
+            radical_nums.append(xa.numerator * yb.numerator)
+            radical_dens.append(xa.denominator * yb.denominator)
+            if mx is not None:
+                nums.append(m * xb.numerator * yb.numerator)
+                dens.append(xb.denominator * yb.denominator)
+        if mx is not None:
+            radical_nums.append(xb.numerator * ya.numerator)
+            radical_dens.append(xb.denominator * ya.denominator)
+    b = _sum_over_lcm(radical_nums, radical_dens) if radical_nums else _FRACTION_ZERO
+    return _trusted(_sum_over_lcm(nums, dens), b, m)
+
+
+def _sum_over_lcm(nums: list, dens: list) -> Fraction:
+    """The sum of the fractions nums[i]/dens[i], reduced once."""
+    den = math.lcm(*dens)
+    if den == 1:
+        return Fraction(sum(nums))
+    return Fraction(sum([n * (den // d) for n, d in zip(nums, dens)]), den)
+
+
+def _fold_dot(u: Vec, v: Vec) -> QuadExt:
+    """The inner product as a sum of the field's own products, for operands
+    ``_dot`` does not take; ``tests/oracles.dot_oracle`` is a copy of it,
+    kept as the reference, so a change here asks for a look there."""
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
@@ -895,28 +1002,33 @@ def d8_representation(a: int, b: int):
                             "(13)": [[1, 0, 0], [0, -1, 0], [0, 0, b]]})
 
 
+@lru_cache(maxsize=None)
+def _d8_literal_conics() -> Mapping[str, Conic]:
+    """The conics of _D8_CONICS, built once per process; a Conic is never
+    changed after construction, so every PencilCase shares them."""
+    return MappingProxyType({name: Conic(v) for name, v in _D8_CONICS.items()})
+
+
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     """The nine candidate invariant pencils for the order-8 dihedral action.
 
-    Each pencil is spanned by two coefficient vectors of the literal
-    table _D8_CONICS or by c*(X^2+Y^2) + d*Z^2: pencils 8 and 9 take the
-    free parameters c, d (both nonzero), the first seven none.  Nothing is
-    proved here: ``analyze_pencil`` proves a general pencil invariant from
-    the permutation of its base points.  Pencils 8 and 9 are general for
-    every nonzero c, d, with base points [1:+-1:+-w], w^2 = -2c/d, and
-    [0:1:+-w], [1:0:+-w], w^2 = -c/d, so every run proves them.  Pencils
-    1-7 are not general, but they take no parameter, and the tests prove
-    them invariant for all four sign pairs (a, b).
+    Each pencil is spanned by two conics of the literal table _D8_CONICS,
+    built once per process, or by c*(X^2+Y^2) + d*Z^2, built on each call:
+    pencils 8 and 9 take the free parameters c, d (both nonzero), the
+    first seven none.  Nothing is proved here: ``analyze_pencil`` proves a
+    general pencil invariant from the permutation of its base points.
+    Pencils 8 and 9 are general for every nonzero c, d, with base points
+    [1:+-1:+-w], w^2 = -2c/d, and [0:1:+-w], [1:0:+-w], w^2 = -c/d, so
+    every run proves them.  Pencils 1-7 are not general, but they take no
+    parameter, and the tests prove them invariant for all four sign pairs
+    (a, b).
     """
     c = Fraction(c)
     d = Fraction(d)
     if c == 0 or d == 0:
         raise ValueError("parameters c and d must be nonzero")
     G, rep = d8_representation(a, b)
-    conics = {name: Conic(v) for name, v in _D8_CONICS.items()}
-    conics["c*(X^2+Y^2) + d*Z^2"] = Conic(
-        c * s + d * z for s, z in zip(_D8_CONICS["X^2+Y^2"], _D8_CONICS["Z^2"])
-    )
+    conics = {**_d8_literal_conics(), "c*(X^2+Y^2) + d*Z^2": Conic((c, c, d, 0, 0, 0))}
     spans = [
         ("YZ", "XZ"),
         ("Z^2", "X^2-Y^2"),

@@ -6,7 +6,8 @@ defect of ``verify``'s table counted from the definitions, restriction
 to a subgroup read off marks, collinearity of three points, a change of
 coordinates on conics, the D8 invariant-subspace structure the dihedral
 pencils are spanned from, square stripping by trial division over every
-d, and a deadline for checks that must not hang.
+d, the inner product as a fold of the field's own ``+`` and ``*``, and a
+deadline for checks that must not hang.
 
 Each G-set oracle builds a literal G-set as a (group, points, action)
 triple, so ``decompose`` of it is an answer that the Burnside-ring
@@ -291,6 +292,12 @@ def transform_conic(conic: Conic, P_inv) -> Conic:
     """
     A = mat_mul(mat_mul(tuple(zip(*P_inv)), conic.sym_matrix()), P_inv)
     return Conic((A[0][0], A[1][1], A[2][2], 2 * A[1][2], 2 * A[0][2], 2 * A[0][1]))
+
+
+def dot_oracle(u, v):
+    """The inner product summed term by term with the field's ``+`` and
+    ``*``, starting from ZERO: the fold ``geometry._dot`` must equal."""
+    return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
 def strip_squares_oracle(n: int) -> tuple:

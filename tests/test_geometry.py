@@ -58,6 +58,7 @@ from oracles import (
     d8_generators,
     d8_invariant_structure,
     deadline,
+    dot_oracle,
     mat_inverse,
     representation_oracle,
     span_equal,
@@ -235,6 +236,18 @@ def test_strip_squares_matches_every_divisor_trial(n):
     assert geometry._strip_squares(n) == strip_squares_oracle(n)
 
 
+def test_strip_squares_of_a_long_number_divides_by_prime_runs():
+    # 65537^2001 (32,017 bits) has no prime factor below 2^16, so trial
+    # division by every odd d < 2^16 takes 32,767 remainders of it; the
+    # runs of primes whose products stay below 2^1024 take 93.  A first
+    # long number builds the prime table, so only the division is timed.
+    big = 65537**2001
+    geometry._strip_squares(1 << 40)
+    with deadline(0.2):
+        stripped = geometry._strip_squares(-(2**7 * 3**2 * 5 * 65521**3 * big))
+    assert stripped == (2**3 * 3 * 65521, -(2 * 5 * 65521 * big))
+
+
 non_square_radicands = st.integers(-60, 60).filter(
     lambda m: m < 0 or math.isqrt(m) ** 2 != m
 )
@@ -310,9 +323,9 @@ class TestTrustedResults:
             if not x.is_zero():
                 norm = a * a - b * b * (m or 0)
                 self.assert_built(c / x, c * a / norm, -c * b / norm, m)
-        # _dot's sum: ZERO + an int + a Fraction + x, and 0 + products.
-        self.assert_built(sum((n, f, x), ZERO), n + f + a, b, m)
-        self.assert_built(sum((n * x, x * f)), (n + f) * a, (n + f) * b, m)
+        # _dot of an int, a Fraction and x, and of products on either side.
+        self.assert_built(geometry._dot((n, f, x), (1, 1, 1)), n + f + a, b, m)
+        self.assert_built(geometry._dot((n, x), (x, f)), (n + f) * a, (n + f) * b, m)
 
     @settings(max_examples=60, derandomize=True)
     @given(
@@ -338,6 +351,52 @@ class TestTrustedResults:
             self.assert_built(x / z, r * a / norm, -r * b / norm, m)
             if r:
                 self.assert_built(z / x, a / r, b / r, m)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(
+        st.data(),
+        st.integers(0, 6),
+        non_square_radicands,
+        non_square_radicands,
+        st.booleans(),
+    )
+    def test_dot_matches_the_fold(self, data, length, m1, m2, mixed):
+        cancelled = rationals.map(lambda r: (r + QuadExt(0, 1, m1)) - QuadExt(0, 1, m1))
+        operands = st.one_of(
+            st.integers(-50, 50),
+            rationals,
+            rationals.map(QuadExt),
+            st.just(ZERO),
+            cancelled,
+            quads(m1),
+            quads(m2 if mixed else m1),
+        )
+        vectors = st.lists(operands, min_size=length, max_size=length).map(tuple)
+        u, v = data.draw(vectors), data.draw(vectors)
+        try:
+            expected = dot_oracle(u, v)
+        except FieldExtensionError as exc:
+            with pytest.raises(FieldExtensionError) as raised:
+                geometry._dot(u, v)
+            assert str(raised.value) == str(exc)
+        else:
+            self.assert_built(geometry._dot(u, v), expected.a, expected.b, expected.radicand)
+
+    def test_dot_cancels_and_refuses_as_the_fold_does(self):
+        root2, root3 = QuadExt(0, 1, 2), QuadExt(0, 1, 3)
+        for u, v in (
+            ((root2, root2), (1, -1)),  # the radical parts cancel
+            ((root2, 1), (root2, Fraction(-1, 2))),  # sqrt(2)^2 - 1/2
+            ((root2, root3), (0, ZERO)),  # two radicands, each times zero
+            ((root2, root3 - root3), (root2, 5)),  # sqrt(3) cancelled first
+        ):
+            expected = dot_oracle(u, v)
+            self.assert_built(geometry._dot(u, v), expected.a, expected.b, expected.radicand)
+        refusal = r"^cannot mix sqrt\(2\) with sqrt\(3\)$"
+        for u, v in (((root2, root3), (1, 1)), ((root2,), (root3,))):
+            for dot in (dot_oracle, geometry._dot):
+                with pytest.raises(FieldExtensionError, match=refusal):
+                    dot(u, v)
 
     def test_cancelled_radical_part_drops_the_radicand(self):
         root2 = QuadExt(0, 1, 2)
@@ -753,6 +812,14 @@ class TestRepresentations:
                 with pytest.raises(TypeError):
                     rep[G.generators[0]] = identity_matrix(3)
 
+    def test_literal_conics_are_built_once_and_shared(self):
+        first, second = d8_case_suite(1, 1, 1, 1), d8_case_suite(-1, 1, 2, 3)
+        for case, other in zip(first[:7], second[:7]):
+            assert case.f is other.f and case.g is other.g
+        assert first[7].f is second[7].f
+        assert first[7].g is not second[7].g
+        assert second[7].g.coeffs == (2, 2, 3, 0, 0, 0)
+
     def test_bad_signs_raise_on_every_call(self):
         for _ in range(3):
             with pytest.raises(ValueError, match="must be"):
@@ -1085,6 +1152,19 @@ def count_calls(monkeypatch, *names):
 
         monkeypatch.setattr(geometry, name, counted)
     return calls
+
+
+def test_inner_products_build_one_number_each(monkeypatch):
+    calls = count_calls(monkeypatch, "_trusted")
+    x = (QuadExt(Fraction(3, 4)), QuadExt(1, 2, 2), QuadExt(0, 1, 2))
+    assert geometry._dot(x, x[::-1]) == QuadExt(9, Fraction(11, 2), 2)
+    # Summed with the field's + and *, it builds 2n = 6 numbers.
+    assert calls == {"_trusted": 1}
+    case = d8_case_suite(1, 1, 1, 1)[7]
+    calls["_trusted"] = 0
+    analyze_pencil(case)
+    # 733 numbers, against 1186 when each inner product is such a sum.
+    assert calls["_trusted"] <= 800
 
 
 def test_pencils_are_built_without_an_invariance_proof(monkeypatch):
