@@ -1,10 +1,10 @@
 """Command line driver: verification runs, counterexample pipelines, tables.
 
-Exit codes: 0 when every verified configuration is equal (or, for the
-counterexample commands, when the expected failure is observed and for
-theorem-sweep when the observed outcome matrix matches the packaged
-golden table); 1 for an unexpected result; 2 for invalid input or a
-computation outside the supported exact scope.  A reader that closes
+Exit codes: 0 when every verified configuration is equal (or, for
+counterexample, when the pencil is not general or its two sides differ,
+and for theorem-sweep when the observed outcome matrix matches the
+packaged golden table); 1 for an unexpected result; 2 for invalid input
+or a computation outside the supported exact scope.  A reader that closes
 stdout early ends the command quietly, with its own exit code.
 """
 
@@ -190,7 +190,6 @@ def cmd_counterexample(args) -> tuple:
             f"{case.label}: mu*({conic_to_string(case.f)}) + "
             f"lambda*({conic_to_string(case.g)})  [a={args.a}, b={args.b}, c={args.c}, d={args.d}]"
         )
-    general = args.target == "klein" or args.case > 7
     try:
         analysis = analyze_pencil(case)
     except NotGeneral as exc:
@@ -198,10 +197,10 @@ def cmd_counterexample(args) -> tuple:
             body = {"pencil": label, "general": False, "reason": exc.reason}
         else:
             body = f"pencil: {label}\nnot general: {exc.reason}"
-        return body, int(general)
+        return body, 0
     report = nodal.verify(analysis.sigma)
     body = _counterexample_report(args, label, analysis, report)
-    return body, 0 if general and not report.equal else 1
+    return body, 1 if report.equal else 0
 
 
 def cmd_theorem_sweep(args) -> tuple:

@@ -972,16 +972,30 @@ def _representation(generators: Mapping[str, list]) -> tuple:
 # -- dihedral group of order 8 on P^2 ---------------------------------------
 
 
-# The D8-invariant conics the nine dihedral pencils are spanned from, as
-# coefficients on (x^2, y^2, z^2, yz, xz, xy).
+# The D8-invariant conics the nine dihedral pencils are spanned from, built
+# at import on coefficients of (x^2, y^2, z^2, yz, xz, xy).  A Conic is never
+# changed after construction, so every PencilCase shares them.
 _D8_CONICS = {
-    "YZ": (0, 0, 0, 1, 0, 0),
-    "XZ": (0, 0, 0, 0, 1, 0),
-    "Z^2": (0, 0, 1, 0, 0, 0),
-    "X^2+Y^2": (1, 1, 0, 0, 0, 0),
-    "X^2-Y^2": (1, -1, 0, 0, 0, 0),
-    "XY": (0, 0, 0, 0, 0, 1),
+    "YZ": Conic((0, 0, 0, 1, 0, 0)),
+    "XZ": Conic((0, 0, 0, 0, 1, 0)),
+    "Z^2": Conic((0, 0, 1, 0, 0, 0)),
+    "X^2+Y^2": Conic((1, 1, 0, 0, 0, 0)),
+    "X^2-Y^2": Conic((1, -1, 0, 0, 0, 0)),
+    "XY": Conic((0, 0, 0, 0, 0, 1)),
 }
+# The spans of the nine pencils, in case order.  The one name that is not a
+# key of _D8_CONICS is the conic of the parameters c and d.
+_D8_SPANS = (
+    ("YZ", "XZ"),
+    ("Z^2", "X^2-Y^2"),
+    ("Z^2", "X^2+Y^2"),
+    ("Z^2", "XY"),
+    ("X^2-Y^2", "X^2+Y^2"),
+    ("X^2-Y^2", "XY"),
+    ("X^2+Y^2", "XY"),
+    ("X^2-Y^2", "c*(X^2+Y^2) + d*Z^2"),
+    ("XY", "c*(X^2+Y^2) + d*Z^2"),
+)
 
 
 @lru_cache(maxsize=None)
@@ -1002,18 +1016,11 @@ def d8_representation(a: int, b: int):
                             "(13)": [[1, 0, 0], [0, -1, 0], [0, 0, b]]})
 
 
-@lru_cache(maxsize=None)
-def _d8_literal_conics() -> Mapping[str, Conic]:
-    """The conics of _D8_CONICS, built once per process; a Conic is never
-    changed after construction, so every PencilCase shares them."""
-    return MappingProxyType({name: Conic(v) for name, v in _D8_CONICS.items()})
-
-
 def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     """The nine candidate invariant pencils for the order-8 dihedral action.
 
-    Each pencil is spanned by two conics of the literal table _D8_CONICS,
-    built once per process, or by c*(X^2+Y^2) + d*Z^2, built on each call:
+    Each pencil is spanned by two conics named in _D8_SPANS, literal conics
+    built at import, or c*(X^2+Y^2) + d*Z^2, built on each call:
     pencils 8 and 9 take the free parameters c, d (both nonzero), the
     first seven none.  Nothing is proved here: ``analyze_pencil`` proves a
     general pencil invariant from the permutation of its base points.
@@ -1028,21 +1035,10 @@ def d8_case_suite(a: int, b: int, c: Fraction, d: Fraction) -> list:
     if c == 0 or d == 0:
         raise ValueError("parameters c and d must be nonzero")
     G, rep = d8_representation(a, b)
-    conics = {**_d8_literal_conics(), "c*(X^2+Y^2) + d*Z^2": Conic((c, c, d, 0, 0, 0))}
-    spans = [
-        ("YZ", "XZ"),
-        ("Z^2", "X^2-Y^2"),
-        ("Z^2", "X^2+Y^2"),
-        ("Z^2", "XY"),
-        ("X^2-Y^2", "X^2+Y^2"),
-        ("X^2-Y^2", "XY"),
-        ("X^2+Y^2", "XY"),
-        ("X^2-Y^2", "c*(X^2+Y^2) + d*Z^2"),
-        ("XY", "c*(X^2+Y^2) + d*Z^2"),
-    ]
+    free = Conic((c, c, d, 0, 0, 0))
     return [
-        PencilCase(f"case {index}", G, rep, conics[first], conics[second])
-        for index, (first, second) in enumerate(spans, start=1)
+        PencilCase(f"case {index}", G, rep, _D8_CONICS[first], _D8_CONICS.get(second, free))
+        for index, (first, second) in enumerate(_D8_SPANS, start=1)
     ]
 
 

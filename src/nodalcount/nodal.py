@@ -29,6 +29,7 @@ from .permgroup import (
     _MUL,
     PermGroup,
     Permutation,
+    _generators_text,
     _members,
     class_index_of,
     class_labels,
@@ -127,8 +128,7 @@ class SigmaConfig:
         for idx, mult in enumerate(counts):
             if not mult:
                 continue
-            rep = classes[idx].representative
-            gens = ",".join(g.cycle_string() for g in rep.generators)
+            gens = _generators_text(classes[idx].representative)
             body = f"[G/{gens}]" if gens else "[G]"
             terms.append(body if mult == 1 else f"{mult}{body}")
         return "+".join(terms) if terms else "0"
@@ -374,10 +374,11 @@ def verify_all(G: PermGroup) -> list:
 
 @lru_cache(maxsize=None)
 def _natural_table() -> tuple:
-    """S4 and the table of its natural configuration X = {1, 2, 3, 4}, the
-    identity action, verified through the orbit path once per process."""
-    S4 = generate_group(map(Permutation, permutations(range(4))))
-    return S4, verify(SigmaConfig.from_action(S4, {g: g for g in S4.elements})).table
+    """S4 and the table of its natural configuration X = {1, 2, 3, 4}, one
+    orbit of point stabilizers, verified through the orbit path once per process."""
+    S4 = generate_group(_ELEMENTS)
+    stabilizer = generate_group(g for g in S4.elements if g(3) == 3)
+    return S4, verify(sigma_from_classes(S4, [class_index_of(S4, stabilizer)])).table
 
 
 def pulled_back_table(sigma: SigmaConfig) -> tuple:

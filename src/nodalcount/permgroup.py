@@ -341,12 +341,16 @@ def class_index_of(G: PermGroup, H: PermGroup) -> int:
         raise ValueError(f"{H!r} is not a subgroup of the ambient group") from None
 
 
+def _generators_text(H: PermGroup) -> str:
+    """H's generators in cycle notation, as class labels and sigma specs write them."""
+    return ",".join(g.cycle_string() for g in H.generators)
+
+
 def subgroup_label(H: PermGroup, ambient: PermGroup | None = None) -> str:
     """Short display name: "G" for the ambient group itself, else "<gens>"."""
     if H is ambient:
         return "G"
-    gens = ",".join(g.cycle_string() for g in H.generators)
-    return f"<{gens or '()'}>"
+    return f"<{_generators_text(H) or '()'}>"
 
 
 @lru_cache(maxsize=None)

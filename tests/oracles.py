@@ -2,7 +2,8 @@
 brute-force subgroup searches checked against ``permgroup``, coset
 configurations and representations built from Permutation and QuadExt
 products, checked against ``nodal`` and ``geometry``, the mark
-defect of ``verify``'s table counted from the definitions, restriction
+defect of ``verify``'s table counted from the definitions, each pairing
+orbit's branch set and weight by a two-case formula, restriction
 to a subgroup read off marks, collinearity of three points, a change of
 coordinates on conics, the D8 invariant-subspace structure the dihedral
 pencils are spanned from, square stripping by trial division over every
@@ -37,11 +38,12 @@ from nodalcount.geometry import (
     rref,
     sym2,
 )
-from nodalcount.nodal import SigmaConfig
+from nodalcount.nodal import ALL_PAIRINGS, NodalOrbitReport, SigmaConfig
 from nodalcount.permgroup import (
     PermGroup,
     Permutation,
     class_index_of,
+    generate_group,
     parse_permutation,
     subgroup_classes,
 )
@@ -262,6 +264,39 @@ def mark_defect_oracle(H) -> int:
     return lhs - rhs
 
 
+def lattice_orbit_reports(sigma: SigmaConfig) -> list:
+    """``nodal_orbit_reports`` by the two-case weight formula, with no
+    ``orbits``, ``decompose`` or ``induce``.
+
+    A pairing p's orbit is {phi(g).p : g in G} and its stabilizer S is
+    {g : phi(g).p = p}.  Let T be the elements of S whose image keeps p's
+    first block.  When T = S, both blocks are fixed: the branch set is
+    2*[S/S] and the weight Ind_S^G([S/S]) = [G/S].  Otherwise S swaps the
+    blocks, T has index 2 in S, the branch set is [S/T] and the weight is
+    Ind_S^G([S/T] - [S/S]) = [G/T] - [G/S].
+    """
+    G, phi = sigma.ambient, sigma.point_action
+
+    def image(g, blocks):
+        return tuple(sorted(tuple(sorted(phi[g](i) for i in b)) for b in blocks))
+
+    reports, seen = [], set()
+    for p in ALL_PAIRINGS:
+        if p in seen:
+            continue
+        orbit = tuple(sorted({image(g, p) for g in G.elements}))
+        seen.update(orbit)
+        S = generate_group(g for g in G.elements if image(g, p) == p)
+        T = generate_group(g for g in S.elements if image(g, p[:1]) == p[:1])
+        if T is S:
+            branch, weight = 2 * BurnsideElement.point(S), BurnsideElement.from_subgroup(G, S)
+        else:
+            branch = BurnsideElement.from_subgroup(S, T)
+            weight = BurnsideElement.from_subgroup(G, T) - BurnsideElement.from_subgroup(G, S)
+        reports.append(NodalOrbitReport(p, orbit, S, branch, weight))
+    return reports
+
+
 def has_klein_four(H) -> bool:
     """Whether the group H of permutations has two distinct commuting
     involutions a, b, that is the Klein four-subgroup {1, a, b, ab}."""
@@ -352,7 +387,7 @@ def d8_invariant_structure(a: int, b: int) -> dict:
             rows = rows_rot + eigen_rows(S_ref, mu)
             intersections[(lam, mu)] = kernel_basis(rows)
 
-    basis = dict(zip(_D8_CONICS, mat(_D8_CONICS.values())))
+    basis = {name: conic.coeffs for name, conic in _D8_CONICS.items()}
     checks = (
         span_equal(intersections[(1, 1)], [basis["Z^2"], basis["X^2+Y^2"]]),
         span_equal(intersections[(-1, 1)], [basis["X^2-Y^2"]]),

@@ -7,12 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nodalcount import cli, nodal
 from nodalcount.cli import build_parser, main
+from nodalcount.geometry import NotGeneral, analyze_pencil, d8_case_suite
 from nodalcount.nodal import enumerate_sigma_configs, parse_sigma_spec
 from nodalcount.permgroup import class_index_of, generate_group, subgroup_classes
 from nodalcount.presets import PRESET_ORDER, resolve_group
@@ -359,6 +361,25 @@ class TestCommands:
         code, out = run(capsys, "counterexample", "d8", "--case", "9")
         assert code == 0
         assert "equal: false" in out
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize(
+        "params, c, d", [([], 1, 1), (["--c=3/2", "--d=-5"], Fraction(3, 2), -5)]
+    )
+    def test_counterexample_exit_follows_the_analysis(self, capsys, a, b, params, c, d):
+        # The command reads a pencil's generality off analyze_pencil, which
+        # raises NotGeneral on cases 1-7 and returns on 8 and 9.  Each exit
+        # is 0: a pencil that is not general, or general with unequal sides.
+        for k, case in enumerate(d8_case_suite(a, b, c, d), start=1):
+            try:
+                expected = int(nodal.verify(analyze_pencil(case).sigma).equal)
+                general = True
+            except NotGeneral:
+                expected, general = 0, False
+            assert general == (k > 7), k
+            code, _ = run(capsys, "counterexample", "d8", f"--a={a}", f"--b={b}", *params,
+                          "--case", str(k))
+            assert code == expected == 0, k
 
     def test_theorem_sweep_matches_golden(self, capsys):
         code, out = run(capsys, "theorem-sweep")

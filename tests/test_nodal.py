@@ -32,6 +32,7 @@ from oracles import (
     coset_config_oracle,
     has_klein_four,
     induce_concrete,
+    lattice_orbit_reports,
     mark_defect_oracle,
     restrict_by_marks,
     sigma_multisets_oracle,
@@ -529,6 +530,36 @@ class TestImageGroup:
                     assert (lm, rm) == (image_lm, image_rm), (name, idx)
                     rows += 1
         assert (rows, unfaithful) == (329, 40)
+
+
+class TestLatticeWeights:
+    """``oracles.lattice_orbit_reports`` gives each pairing orbit's branch
+    set and weight by the two-case formula on the stabilizer S and the
+    subgroup T of S that keeps the representative's first block.  It must
+    match the orbit path field by field: representative, orbit,
+    stabilizer, branch set and weight."""
+
+    def test_every_configuration_of_every_subgroup(self):
+        seen = 0
+        for G in all_subgroups(resolve_group("S4")):
+            for sigma in enumerate_sigma_configs(G):
+                assert lattice_orbit_reports(sigma) == nodal_orbit_reports(sigma)
+                seen += 1
+        assert seen == 155
+
+    def test_relabelled_preset_configurations(self):
+        seen = 0
+        relabellings = [Permutation(images) for images in itertools.permutations(range(4))]
+        for name in PRESET_ORDER:
+            G = resolve_group(name)
+            for sigma in enumerate_sigma_configs(G):
+                for tau in relabellings:
+                    tau_inv = tau.inverse()
+                    action = {g: tau * p * tau_inv for g, p in sigma.point_action.items()}
+                    relabelled = SigmaConfig.from_action(G, action)
+                    assert lattice_orbit_reports(relabelled) == nodal_orbit_reports(relabelled)
+                    seen += 1
+        assert seen == 60 * 24
 
 
 class TestRestriction:
